@@ -1,12 +1,12 @@
 """Signature-scheme benchmark harness with a blockchain verification simulator.
 
-The package is organised around five pieces:
+The package is organised around four pieces:
 
-- :mod:`chainsig.catalog`: the fixed table of signature scheme variants.
-- :mod:`chainsig.providers`: pluggable backends that turn a catalog entry
-  into usable keypair/sign/verify operations.
+- :mod:`chainsig.schemes`: the fixed catalog of signature scheme
+  variants and the pluggable backends that turn a catalog entry into
+  usable keypair/sign/verify operations.
 - :mod:`chainsig.bench`: wall-clock measurement of those operations.
-- :mod:`chainsig.sim`: a discrete-event model that propagates measured
+- :mod:`chainsig.sim`: seeded per-block draws that propagate measured
   verify latency into whole-block verification times.
 - :mod:`chainsig.report`: CSV and SVG emission for both stages.
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import itertools
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -328,12 +329,19 @@ def run_pipeline(config: CliConfig) -> int:
         logger.warning("no variants at the selected levels")
 
     skipped: list[dict[str, str]] = []
+    # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None
+    replayed_from: dict | None = None
     bench_dataset = ReportDataset(())
     replaying = config.replay_benchmarks is not None
 
     if replaying:
         replayed = parse_csv(config.replay_benchmarks)
+        replayed_from = {
+            "path": str(config.replay_benchmarks),
+            "sha256": hashlib.sha256(config.replay_benchmarks.read_bytes()).hexdigest(),
+            "machines": sorted({row.machine for row in replayed.rows}),
+        }
         bench_dataset = ReportDataset(
             tuple(
                 row
@@ -435,22 +443,17 @@ def run_pipeline(config: CliConfig) -> int:
                 )
             )
 
-    if environment is None:
-        environment = probe_environment()
     manifest = {
         "config": config.to_dict(),
-        "environment": {
-            "cpu_model": environment.cpu_model,
-            "memory_bytes": environment.memory_bytes,
-            "os_descriptor": environment.os_descriptor,
-            "timer_resolution_ns": environment.timer_resolution_ns,
-        },
+        "environment": asdict(environment) if environment is not None else None,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
         "skipped": skipped,
         "outputs": outputs,
     }
+    if replayed_from is not None:
+        manifest["replayed_from"] = replayed_from
     manifest_path = output_dir / "manifest.json"
     try:
         manifest_path.write_text(

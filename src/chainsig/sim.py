@@ -1,10 +1,18 @@
-"""Seeded discrete-event model of block verification cost.
+"""Seeded model of block verification cost.
 
-Blocks are created at exponentially spaced instants; each block carries
-a Poisson-distributed number of transactions, and verifying one
-transaction signature costs a per-scheme time drawn from the measured
-verify statistic. The reported metric is the mean per-block
-verification cost over a run, aggregated over many independent runs.
+Each block carries a Poisson-distributed number of transactions, and
+verifying one transaction signature costs a per-scheme time taken from
+the measured verify statistic. The reported metric is the mean
+per-block verification cost over a run, aggregated over many
+independent runs.
+
+The model can be read as a discrete-event schedule: blocks arrive at
+exponentially spaced instants and are verified on arrival. Verification
+never delays the creation of the next block, though, so the order of
+events cannot change any block's cost, and the schedule reduces to
+independent per-block draws. block_interval_s is kept in the config and
+echoed into the CSV headers as a description of the network profile; it
+does not change the result.
 
 Network propagation, forks and incentives are out of scope: block
 production is a fixed schedule and verification cost is the only
@@ -14,10 +22,7 @@ quantity modeled.
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -50,11 +55,6 @@ class VerifySampling(enum.Enum):
     NORMAL_PER_BLOCK = "normal-per-block"
 
 
-class EventKind(enum.Enum):
-    BLOCK_CREATED = "block-created"
-    BLOCK_VERIFIED = "block-verified"
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     model: ChainModel
@@ -77,41 +77,9 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class SimEvent:
-    timestamp_s: float
-    kind: EventKind
-    block_id: int
-    tx_count: int
-
-
-@dataclass(frozen=True)
-class RunResult:
-    mean_block_verify_ms: float
-    blocks: int
-    total_tx: int
-
-
-@dataclass(frozen=True)
 class SimulationResult:
-    per_run: tuple[RunResult, ...]
+    run_means_ms: tuple[float, ...]
     batch: StatSummary
-
-
-class EventQueue:
-    """Min-heap of SimEvents ordered by timestamp, ties by insertion."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, SimEvent]] = []
-        self._sequence = itertools.count()
-
-    def push(self, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (event.timestamp_s, next(self._sequence), event))
-
-    def pop(self) -> SimEvent:
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 # network profiles: expected transactions per block and mean block spacing
@@ -143,78 +111,27 @@ def default_config(model: ChainModel | int) -> SimulationConfig:
     )
 
 
-def simulate_run(
-    config: SimulationConfig,
-    verify_stat: StatSummary,
-    rng: np.random.Generator,
-) -> RunResult:
-    """One run: schedule blocks_per_run blocks, verify each on arrival.
-
-    Block verification cost is tx_count times the per-signature draw.
-    The BlockVerified events only close the loop on the event schedule;
-    all bookkeeping happens at BlockCreated.
-    """
-    queue = EventQueue()
-    clock = 0.0
-    for block_id in range(config.blocks_per_run):
-        clock += float(rng.exponential(config.block_interval_s))
-        queue.push(
-            SimEvent(
-                timestamp_s=clock,
-                kind=EventKind.BLOCK_CREATED,
-                block_id=block_id,
-                tx_count=int(rng.poisson(config.tx_per_block_mean)),
-            )
-        )
-    costs: list[float] = []
-    total_tx = 0
-    while queue:
-        event = queue.pop()
-        if event.kind is not EventKind.BLOCK_CREATED:
-            continue
-        if config.verify_sampling is VerifySampling.MEAN_ONLY:
-            per_signature_ms = verify_stat.mean_ms
-        else:
-            per_signature_ms = max(
-                float(rng.normal(verify_stat.mean_ms, verify_stat.std_ms)), 0.0
-            )
-        cost_ms = event.tx_count * per_signature_ms
-        costs.append(cost_ms)
-        total_tx += event.tx_count
-        queue.push(
-            SimEvent(
-                timestamp_s=event.timestamp_s + cost_ms / 1000.0,
-                kind=EventKind.BLOCK_VERIFIED,
-                block_id=event.block_id,
-                tx_count=event.tx_count,
-            )
-        )
-    return RunResult(
-        mean_block_verify_ms=fmean(costs),
-        blocks=len(costs),
-        total_tx=total_tx,
-    )
-
-
-def _run_rng(seed: int, run_index: int) -> np.random.Generator:
-    # mixing (seed, run index) through SeedSequence keeps the streams
-    # independent of execution order
-    sequence = np.random.SeedSequence(
-        entropy=seed & _SEED_MASK, spawn_key=(run_index,)
-    )
-    return np.random.Generator(np.random.PCG64(sequence))
-
-
 def simulate_batch(
     config: SimulationConfig, verify_stat: StatSummary
 ) -> SimulationResult:
-    """config.runs independent runs; batch stats over per-run means."""
-    per_run = tuple(
-        simulate_run(config, verify_stat, _run_rng(config.seed, index))
-        for index in range(config.runs)
-    )
-    batch = summarize([run.mean_block_verify_ms for run in per_run])
-    return SimulationResult(per_run=per_run, batch=batch)
+    """config.runs independent runs; batch stats over per-run means.
+
+    All draws come from one generator seeded with config.seed, as arrays
+    of shape (runs, blocks_per_run): transaction counts first, then the
+    per-signature costs.
+    """
+    sequence = np.random.SeedSequence(config.seed & _SEED_MASK)
+    rng = np.random.Generator(np.random.PCG64(sequence))
+    shape = (config.runs, config.blocks_per_run)
+    tx_counts = rng.poisson(config.tx_per_block_mean, shape)
+    if config.verify_sampling is VerifySampling.MEAN_ONLY:
+        per_signature_ms = verify_stat.mean_ms
+    else:
+        per_signature_ms = np.maximum(
+            rng.normal(verify_stat.mean_ms, verify_stat.std_ms, shape), 0.0
+        )
+    run_means = tuple((tx_counts * per_signature_ms).mean(axis=1).tolist())
+    return SimulationResult(run_means_ms=run_means, batch=summarize(run_means))
 
 
 def config_echo(config: SimulationConfig) -> tuple[str, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -263,6 +264,29 @@ class TestRunPipeline:
         measured = (tmp_path / "measured" / "benchmark.csv").read_bytes()
         replayed = (tmp_path / "replayed" / "benchmark.csv").read_bytes()
         assert measured == replayed
+
+    def test_replay_manifest_records_source(self, tmp_path, stub_provider, monkeypatch):
+        source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
+        run_pipeline(source)
+        replay_csv = tmp_path / "measured" / "benchmark.csv"
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a replay must not probe the host")
+
+        monkeypatch.setattr("chainsig.cli.probe_environment", no_probe)
+        config = tiny_config(
+            tmp_path, output_dir=tmp_path / "replayed", replay_benchmarks=replay_csv
+        )
+        assert run_pipeline(config) == 0
+        manifest = json.loads(
+            (config.output_dir / "manifest.json").read_text(encoding="utf-8")
+        )
+        assert manifest["environment"] is None
+        assert manifest["replayed_from"] == {
+            "path": str(replay_csv),
+            "sha256": hashlib.sha256(replay_csv.read_bytes()).hexdigest(),
+            "machines": sorted({row.machine for row in parse_csv(replay_csv).rows}),
+        }
 
     def test_replay_is_deterministic(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")

@@ -27,7 +27,7 @@ from chainsig.report import (
     synthesize,
     write_csv,
 )
-from chainsig.sim import ChainModel, RunResult, SimulationResult
+from chainsig.sim import ChainModel, SimulationResult
 from chainsig.schemes import by_variant
 from conftest import make_stub_descriptor
 
@@ -99,11 +99,9 @@ def make_record(variant="P-256", env=None, stats=None):
 
 
 def make_sim_result(mean=136.2845, std=2.3648, n=1000):
-    runs = tuple(
-        RunResult(mean_block_verify_ms=mean, blocks=16, total_tx=1729 * 16)
-        for _ in range(min(n, 3))
+    return SimulationResult(
+        run_means_ms=(mean,) * min(n, 3), batch=StatSummary(mean, std, n)
     )
-    return SimulationResult(per_run=runs, batch=StatSummary(mean, std, n))
 
 
 class TestLevelGroup:

@@ -1,11 +1,10 @@
-"""Discrete-event simulator: defaults, determinism, scaling, event order."""
+"""Block-cost simulator: defaults, determinism, scaling, closed-form moments."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from chainsig.bench import StatSummary
@@ -15,15 +14,11 @@ from chainsig.sim import (
     DEFAULT_SEED,
     DEFAULT_SIM_RUNS,
     ChainModel,
-    EventKind,
-    EventQueue,
-    SimEvent,
     SimulationConfig,
     VerifySampling,
     config_echo,
     default_config,
     simulate_batch,
-    simulate_run,
 )
 
 # Published (batch mean ms, per-signature verify mean ms) pairs measured
@@ -111,28 +106,27 @@ class TestConfigValidation:
 
 
 class TestSimulateRun:
-    def test_zero_cost_stat(self):
-        config = _config(runs=1)
-        rng = np.random.default_rng(0)
-        result = simulate_run(config, _stat(0.0), rng)
-        assert result.mean_block_verify_ms == 0.0
-        assert result.blocks == 16
-        assert result.total_tx > 0
+    """One run, simulated as a batch of size one."""
 
-    def test_deterministic_for_equal_generators(self):
-        config = _config(runs=1)
-        first = simulate_run(config, _stat(0.05, 0.002), np.random.default_rng(7))
-        second = simulate_run(config, _stat(0.05, 0.002), np.random.default_rng(7))
+    def test_zero_cost_stat(self):
+        result = simulate_batch(_config(runs=1), _stat(0.0))
+        assert result.run_means_ms == (0.0,)
+        assert result.batch.mean_ms == 0.0
+
+    def test_deterministic_for_equal_seeds(self):
+        config = _config(runs=1, seed=7)
+        first = simulate_batch(config, _stat(0.05, 0.002))
+        second = simulate_batch(config, _stat(0.05, 0.002))
         assert first == second
 
     def test_mean_only_single_run_near_expectation(self):
         # run mean ~= tx_per_block * m with stderr m * sqrt(tx/blocks)
-        config = _config(verify_sampling=VerifySampling.MEAN_ONLY)
+        config = _config(runs=1, verify_sampling=VerifySampling.MEAN_ONLY)
         mean_ms = 0.0788
         expected = config.tx_per_block_mean * mean_ms
         stderr = mean_ms * math.sqrt(config.tx_per_block_mean / config.blocks_per_run)
-        result = simulate_run(config, _stat(mean_ms), np.random.default_rng(123))
-        assert abs(result.mean_block_verify_ms - expected) < 3.0 * stderr
+        result = simulate_batch(config, _stat(mean_ms))
+        assert abs(result.run_means_ms[0] - expected) < 3.0 * stderr
 
     def test_zero_std_normal_equals_mean_only(self):
         # with std 0 the normal draw degenerates to the mean, so both
@@ -142,17 +136,13 @@ class TestSimulateRun:
         stat = _stat(0.1402, 0.0)
         a = simulate_batch(base, stat)
         b = simulate_batch(mean_only, stat)
-        assert [r.mean_block_verify_ms for r in a.per_run] == [
-            r.mean_block_verify_ms for r in b.per_run
-        ]
+        assert a.run_means_ms == b.run_means_ms
 
     def test_negative_normal_draws_clamped(self):
-        # mean 0 with large std would go negative without the clamp
-        config = _config(runs=1)
-        result = simulate_run(
-            config, _stat(0.0001, 50.0), np.random.default_rng(3)
-        )
-        assert result.mean_block_verify_ms >= 0.0
+        # mean ~0 with large std: unclamped, the block costs would cancel
+        # around zero; clamped, every block costs at least nothing
+        result = simulate_batch(_config(runs=1, seed=3), _stat(0.0001, 50.0))
+        assert result.run_means_ms[0] > 0.0
 
 
 class TestSimulateBatch:
@@ -171,7 +161,7 @@ class TestSimulateBatch:
 
     def test_run_count_respected(self):
         result = simulate_batch(_config(runs=17), _stat(0.05))
-        assert len(result.per_run) == 17
+        assert len(result.run_means_ms) == 17
         assert result.batch.n == 17
 
     def test_single_run_batch_std_zero(self):
@@ -184,12 +174,8 @@ class TestSimulateBatch:
         config = _config(runs=10, verify_sampling=VerifySampling.MEAN_ONLY)
         base = simulate_batch(config, _stat(0.07))
         doubled = simulate_batch(config, _stat(0.14))
-        for run_a, run_b in zip(base.per_run, doubled.per_run):
-            assert math.isclose(
-                run_b.mean_block_verify_ms,
-                2.0 * run_a.mean_block_verify_ms,
-                rel_tol=1e-12,
-            )
+        for run_a, run_b in zip(base.run_means_ms, doubled.run_means_ms):
+            assert math.isclose(run_b, 2.0 * run_a, rel_tol=1e-12)
 
     def test_mean_only_ordering_preserved(self):
         config = _config(runs=10, verify_sampling=VerifySampling.MEAN_ONLY)
@@ -216,53 +202,66 @@ class TestSimulateBatch:
         assert abs(result.batch.mean_ms - expected) / expected <= 0.02
 
 
-class TestEventQueue:
-    def test_pop_order_is_non_decreasing(self):
-        rng = np.random.default_rng(99)
-        queue = EventQueue()
-        for index, stamp in enumerate(rng.uniform(0.0, 1e6, size=100_000)):
-            queue.push(
-                SimEvent(
-                    timestamp_s=float(stamp),
-                    kind=EventKind.BLOCK_CREATED,
-                    block_id=index,
-                    tx_count=0,
-                )
-            )
-        previous = -math.inf
-        while queue:
-            event = queue.pop()
-            assert event.timestamp_s >= previous
-            previous = event.timestamp_s
+# Per-block cost is tx * c with tx ~ Poisson(lam) and c the per-signature
+# draw, independent of tx. With m1 = E[c] and m2 = E[c^2]:
+#   E[tx * c] = lam * m1
+#   Var[tx * c] = E[tx^2] * m2 - (lam * m1)^2 = lam * m2 + lam^2 * (m2 - m1^2)
+# and a run mean over B blocks has a variance B times smaller.
+#   mean-only:          c = mu                  m1 = mu,              m2 = mu^2
+#   normal, sigma << mu c ~ N(mu, sigma)         m1 = mu,              m2 = mu^2 + sigma^2
+#   normal, mu = 0      c = max(N(0, sigma), 0)  m1 = sigma/sqrt(2pi), m2 = sigma^2 / 2
+ORACLE_RUNS = 1000
+ORACLE_CASES = [
+    # model, lam, sampling, mu, sigma, m1, m2
+    (ChainModel.BITCOIN, 1729.0, VerifySampling.MEAN_ONLY,
+     0.0788, 0.0029, 0.0788, 0.0788**2),
+    (ChainModel.BITCOIN, 1729.0, VerifySampling.NORMAL_PER_BLOCK,
+     0.0788, 0.0029, 0.0788, 0.0788**2 + 0.0029**2),
+    (ChainModel.ETHEREUM, 131.0, VerifySampling.MEAN_ONLY,
+     0.0529, 0.0021, 0.0529, 0.0529**2),
+    (ChainModel.ETHEREUM, 131.0, VerifySampling.NORMAL_PER_BLOCK,
+     0.0529, 0.0021, 0.0529, 0.0529**2 + 0.0021**2),
+    (ChainModel.ETHEREUM, 131.0, VerifySampling.NORMAL_PER_BLOCK,
+     0.0, 2.0, 2.0 / math.sqrt(2.0 * math.pi), 2.0**2 / 2.0),
+]
+ORACLE_BLOCKS = 16
 
-    def test_ties_break_by_insertion_order(self):
-        queue = EventQueue()
-        for block_id in range(50):
-            queue.push(
-                SimEvent(
-                    timestamp_s=1.0,
-                    kind=EventKind.BLOCK_CREATED,
-                    block_id=block_id,
-                    tx_count=0,
-                )
-            )
-        popped = [queue.pop().block_id for _ in range(len(queue))]
-        assert popped == list(range(50))
 
-    def test_len_tracks_contents(self):
-        queue = EventQueue()
-        assert len(queue) == 0
-        queue.push(
-            SimEvent(
-                timestamp_s=0.5,
-                kind=EventKind.BLOCK_VERIFIED,
-                block_id=0,
-                tx_count=1,
-            )
+def _oracle_moments(lam, blocks, m1, m2) -> tuple[float, float]:
+    """Expectation and sd of one run's mean block cost."""
+    variance = (lam * m2 + lam**2 * (m2 - m1**2)) / blocks
+    return lam * m1, math.sqrt(variance)
+
+
+class TestClosedFormOracle:
+    def test_bitcoin_defaults_per_run_sd(self):
+        # the figures quoted for the Bitcoin profile at P-256 verify cost
+        _, mean_only_sd = _oracle_moments(1729.0, ORACLE_BLOCKS, 0.0788, 0.0788**2)
+        _, normal_sd = _oracle_moments(
+            1729.0, ORACLE_BLOCKS, 0.0788, 0.0788**2 + 0.0029**2
         )
-        assert len(queue) == 1
-        queue.pop()
-        assert len(queue) == 0
+        assert round(mean_only_sd, 2) == 0.82
+        assert round(normal_sd, 2) == 1.50
+
+    @pytest.mark.parametrize("model,lam,sampling,mu,sigma,m1,m2", ORACLE_CASES)
+    def test_batch_matches_closed_form(self, model, lam, sampling, mu, sigma, m1, m2):
+        config = SimulationConfig(
+            model=model,
+            tx_per_block_mean=lam,
+            blocks_per_run=ORACLE_BLOCKS,
+            block_interval_s=600.0,
+            runs=ORACLE_RUNS,
+            seed=20251017,
+            verify_sampling=sampling,
+        )
+        expected_mean, expected_sd = _oracle_moments(lam, ORACLE_BLOCKS, m1, m2)
+        result = simulate_batch(config, _stat(mu, sigma))
+        assert result.batch.n == ORACLE_RUNS
+        assert abs(result.batch.mean_ms - expected_mean) <= (
+            5.0 * expected_sd / math.sqrt(ORACLE_RUNS)
+        )
+        # 10% is about 4.5 standard errors of a sample sd at n = 1000
+        assert abs(result.batch.std_ms - expected_sd) <= 0.10 * expected_sd
 
 
 class TestConfigEcho:
