@@ -13,7 +13,6 @@ import os
 import platform
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,20 +64,12 @@ class EnvironmentInfo:
 
 
 @dataclass(frozen=True)
-class RawSamples:
-    keypair: tuple[float, ...]
-    sign: tuple[float, ...]
-    verify: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class BenchmarkRecord:
     descriptor: object
     environment: EnvironmentInfo
     keypair_stat: StatSummary
     sign_stat: StatSummary
     verify_stat: StatSummary
-    raw_samples: RawSamples | None = None
 
 
 def _monotonic_clock() -> Callable[[], int]:
@@ -159,7 +150,6 @@ def benchmark_variant(
     instance: SchemeInstance,
     plan: RunPlan,
     environment: EnvironmentInfo | None = None,
-    collect_raw: bool = False,
 ) -> BenchmarkRecord:
     """Measure keypair, sign and verify for one variant.
 
@@ -197,20 +187,12 @@ def benchmark_variant(
 
     verify_samples = time_operation(checked_verify, plan, setup=lambda: next(pairs))
 
-    raw = None
-    if collect_raw:
-        raw = RawSamples(
-            keypair=tuple(keypair_samples),
-            sign=tuple(sign_samples),
-            verify=tuple(verify_samples),
-        )
     return BenchmarkRecord(
         descriptor=instance.descriptor,
         environment=env,
         keypair_stat=summarize(keypair_samples),
         sign_stat=summarize(sign_samples),
         verify_stat=summarize(verify_samples),
-        raw_samples=raw,
     )
 
 
@@ -246,24 +228,3 @@ def probe_environment(resolution_pairs: int = _RESOLUTION_PAIRS) -> EnvironmentI
         timer_resolution_ns=measure_timer_resolution(resolution_pairs),
     )
 
-
-def write_raw_samples(record: BenchmarkRecord, directory: Path) -> list[Path]:
-    """Dump raw per-run durations, one file per operation.
-
-    Format: newline-separated decimal milliseconds with six fractional
-    digits. Requires the record to have been collected with raw samples.
-    """
-    if record.raw_samples is None:
-        raise ValueError("record carries no raw samples")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    variant = record.descriptor.variant
-    for operation in ("keypair", "sign", "verify"):
-        samples = getattr(record.raw_samples, operation)
-        path = directory / f"{variant}_{operation}.txt"
-        path.write_text(
-            "".join(f"{value:.6f}\n" for value in samples), encoding="utf-8"
-        )
-        written.append(path)
-    return written

@@ -89,29 +89,6 @@ class CliConfig:
             ),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CliConfig":
-        return cls(
-            runs=int(data["runs"]),
-            warmup=int(data["warmup"]),
-            levels=frozenset(int(level) for level in data["levels"]),
-            runs_simulator=int(data["runs_simulator"]),
-            models=tuple(ChainModel(value) for value in data["models"]),
-            seed=int(data["seed"]),
-            output_dir=Path(data["output_dir"]),
-            families=(
-                tuple(data["families"]) if data["families"] is not None else None
-            ),
-            message_len=int(data["message_len"]),
-            skip_benchmark=bool(data["skip_benchmark"]),
-            skip_simulation=bool(data["skip_simulation"]),
-            replay_benchmarks=(
-                Path(data["replay_benchmarks"])
-                if data["replay_benchmarks"] is not None
-                else None
-            ),
-        )
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
@@ -373,9 +350,6 @@ def run_pipeline(config: CliConfig) -> int:
                 logger.warning("skipping %s: %s", descriptor.variant, exc)
                 skipped.append({"variant": descriptor.variant, "reason": str(exc)})
                 continue
-            logger.info(
-                "benchmarking %s via %s", descriptor.variant, descriptor.provider_key
-            )
             try:
                 records.append(benchmark_variant(instance, plan, environment=environment))
             except CorrectnessViolation as exc:
@@ -400,16 +374,19 @@ def run_pipeline(config: CliConfig) -> int:
 
     sim_dataset = ReportDataset(())
     if not config.skip_simulation:
+        sim_configs = {
+            model: replace(
+                default_config(model), runs=config.runs_simulator, seed=config.seed
+            )
+            for model in config.models
+        }
         by_machine: dict[str, list] = {}
         for row in bench_dataset.rows:
             if row.operation is not Operation.VERIFY:
                 continue
             descriptor = selected_by_variant[row.variant]
             stat = StatSummary(mean_ms=row.mean_ms, std_ms=row.std_ms, n=row.n)
-            for model in config.models:
-                sim_config = replace(
-                    default_config(model), runs=config.runs_simulator, seed=config.seed
-                )
+            for model, sim_config in sim_configs.items():
                 result = simulate_batch(sim_config, stat)
                 by_machine.setdefault(row.machine, []).append(
                     (descriptor, model, result)
@@ -421,10 +398,7 @@ def run_pipeline(config: CliConfig) -> int:
         sim_dataset = ReportDataset(tuple(sim_rows))
 
         sim_comments = _config_comments(config)
-        for model in config.models:
-            sim_config = replace(
-                default_config(model), runs=config.runs_simulator, seed=config.seed
-            )
+        for model, sim_config in sim_configs.items():
             prefix = model.label.lower()
             sim_comments.extend(
                 f"{prefix}.{line}" for line in config_echo(sim_config)

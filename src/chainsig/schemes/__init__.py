@@ -9,13 +9,7 @@ from .catalog import (
     catalog,
     filter_by_levels,
 )
-from .registry import (
-    PROVIDER_ENV,
-    get_provider,
-    instantiate,
-    provider_names,
-    register_provider,
-)
+from .registry import PROVIDER_ENV, get_provider, instantiate
 
 __all__ = [
     "FAMILY_ORDER",
@@ -31,6 +25,4 @@ __all__ = [
     "filter_by_levels",
     "get_provider",
     "instantiate",
-    "provider_names",
-    "register_provider",
 ]

@@ -91,20 +91,14 @@ class SchemeInstance:
 class Provider(abc.ABC):
     """A backend family that can serve some subset of the catalog."""
 
-    #: registry key; also the value carried in VariantDescriptor.provider_key
-    name: str = ""
-
     @abc.abstractmethod
     def available(self) -> bool:
         """Whether the backing library is importable/loadable on this host."""
 
-    def unavailable_reason(self) -> str:
-        return "backend not available"
-
-    @abc.abstractmethod
-    def supports(self, variant: str) -> bool:
-        """Whether this provider can serve the named variant."""
-
     @abc.abstractmethod
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        """Build a backend for descriptor; raises UnsupportedVariant."""
+        """Build a backend for descriptor.
+
+        Raises UnsupportedVariant, with a one-line reason, when the
+        library is missing or does not implement the variant.
+        """

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import registry
-
 # (family, is_pqc, ((variant, level), ...)), in fixed presentation order;
 # within a family the variants are listed by ascending level
 _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
@@ -116,38 +114,21 @@ VALID_LEVELS = frozenset({1, 2, 3, 4, 5})
 
 @dataclass(frozen=True)
 class VariantDescriptor:
-    """One row of the variant catalog.
-
-    provider_key names the backend that will serve this variant on this
-    host; it is resolved once per process and is opaque to callers.
-    """
+    """One row of the variant catalog; the backend is chosen by instantiate."""
 
     family: str
     variant: str
     level: int
     is_pqc: bool
-    provider_key: str
 
 
 def catalog() -> list[VariantDescriptor]:
-    """All 46 variants in fixed order: family order, then ascending level.
-
-    The provider routing consults backend availability exactly once, so
-    repeated calls return identical lists.
-    """
-    descriptors = []
-    for family, is_pqc, cells in _TABLE:
-        for variant, level in cells:
-            descriptors.append(
-                VariantDescriptor(
-                    family=family,
-                    variant=variant,
-                    level=level,
-                    is_pqc=is_pqc,
-                    provider_key=registry.route_variant(family, variant),
-                )
-            )
-    return descriptors
+    """All 46 variants in fixed order: family order, then ascending level."""
+    return [
+        VariantDescriptor(family=family, variant=variant, level=level, is_pqc=is_pqc)
+        for family, is_pqc, cells in _TABLE
+        for variant, level in cells
+    ]
 
 
 def filter_by_levels(

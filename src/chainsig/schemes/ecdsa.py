@@ -89,23 +89,13 @@ class EcdsaBackend(SchemeBackend):
 
 
 class EcdsaProvider(Provider):
-    name = "ecdsa"
-
     def available(self) -> bool:
         return _IMPORT_ERROR is None
 
-    def unavailable_reason(self) -> str:
-        return f"cryptography not importable: {_IMPORT_ERROR}"
-
-    def supports(self, variant: str) -> bool:
-        return variant in _CURVES
-
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not self.available():
-            raise UnsupportedVariant(self.unavailable_reason())
+            raise UnsupportedVariant(f"cryptography not importable: {_IMPORT_ERROR}")
         pairing = _CURVES.get(descriptor.variant)
         if pairing is None:
-            raise UnsupportedVariant(
-                f"ecdsa provider has no curve for {descriptor.variant!r}"
-            )
+            raise UnsupportedVariant(f"no curve for {descriptor.variant!r}")
         return EcdsaBackend(*pairing)

@@ -161,8 +161,6 @@ class _Library:
             )
         cdll.OQS_init.restype = None
         cdll.OQS_init.argtypes = []
-        cdll.OQS_SIG_alg_is_enabled.restype = ctypes.c_int
-        cdll.OQS_SIG_alg_is_enabled.argtypes = [ctypes.c_char_p]
         cdll.OQS_SIG_new.restype = ctypes.POINTER(struct)
         cdll.OQS_SIG_new.argtypes = [ctypes.c_char_p]
         cdll.OQS_SIG_free.restype = None
@@ -196,24 +194,41 @@ class _Library:
         self.path = path
         self.version = version
 
-    def sig_enabled(self, algorithm: str) -> bool:
-        return bool(self.cdll.OQS_SIG_alg_is_enabled(algorithm.encode()))
 
+def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
+    """Load the first candidate that opens with a known ABI.
 
-def _load_library(candidates: Iterator[str]) -> _Library:
-    errors = []
+    Failures come back as one line: a library with an unknown ABI keeps
+    its own message, a path set through env_var is named with its error,
+    and otherwise the search is summarized. Each path's error is logged
+    at DEBUG.
+    """
+    searched = 0
+    wrong_abi: OqsLoadError | None = None
+    last_error: Exception | None = None
     for path in candidates:
+        searched += 1
         try:
             lib = _Library(path)
         except OqsLoadError as exc:
-            errors.append(str(exc))
+            wrong_abi = wrong_abi or exc
+            logger.debug("liboqs candidate rejected: %s", exc)
             continue
-        except OSError as exc:
-            errors.append(f"{path}: {exc}")
+        except (OSError, AttributeError) as exc:
+            # the loader's message already names the path; AttributeError
+            # is a library without the liboqs symbols
+            last_error = exc
+            logger.debug("liboqs candidate rejected: %s", exc)
             continue
         logger.debug("loaded liboqs %s from %s", lib.version, lib.path)
         return lib
-    raise OqsLoadError("; ".join(errors) if errors else "no liboqs candidates found")
+    if wrong_abi is not None:
+        raise wrong_abi
+    if os.environ.get(env_var):
+        raise OqsLoadError(f"{env_var}: {last_error}")
+    raise OqsLoadError(
+        f"liboqs not found ({searched} paths searched; set {env_var})"
+    )
 
 
 class OqsBackend(SchemeBackend):
@@ -268,8 +283,6 @@ class OqsBackend(SchemeBackend):
 
 
 class OqsProvider(Provider):
-    name = "oqs"
-
     def __init__(self) -> None:
         self._lib: _Library | None = None
         self._error: str | None = None
@@ -282,7 +295,7 @@ class OqsProvider(Provider):
         if not self._probed:
             self._probed = True
             try:
-                self._lib = _load_library(_candidate_paths())
+                self._lib = _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
             except OqsLoadError as exc:
                 self._error = str(exc)
         return self._lib
@@ -297,7 +310,9 @@ class OqsProvider(Provider):
         if not self._cross_probed:
             self._cross_probed = True
             try:
-                self._cross_lib = _load_library(_cross_candidate_paths())
+                self._cross_lib = _load_library(
+                    _cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS"
+                )
             except OqsLoadError as exc:
                 logger.debug("no dedicated Cross library: %s", exc)
         if self._cross_lib is not None:
@@ -319,24 +334,10 @@ class OqsProvider(Provider):
     def available(self) -> bool:
         return self._load() is not None
 
-    def unavailable_reason(self) -> str:
-        self._load()
-        return f"liboqs not loadable: {self._error}"
-
-    def supports(self, variant: str) -> bool:
-        if not variant.startswith(_PQC_PREFIXES):
-            return False
-        lib = self._library_for(variant)
-        if lib is None:
-            return True
-        return lib.sig_enabled(_oqs_algorithm(variant))
-
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not descriptor.variant.startswith(_PQC_PREFIXES):
-            raise UnsupportedVariant(
-                f"oqs provider does not serve {descriptor.variant!r}"
-            )
+            raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
         lib = self._library_for(descriptor.variant)
         if lib is None:
-            raise UnsupportedVariant(self.unavailable_reason())
+            raise UnsupportedVariant(self._error)
         return OqsBackend(lib, _oqs_algorithm(descriptor.variant))

@@ -82,27 +82,17 @@ class PqcleanBackend(SchemeBackend):
 
 
 class PqcleanProvider(Provider):
-    name = "pqclean"
-
     def __init__(self) -> None:
         self._import_error = _probe()
 
     def available(self) -> bool:
         return self._import_error is None
 
-    def unavailable_reason(self) -> str:
-        return f"pqcrypto not importable: {self._import_error}"
-
-    def supports(self, variant: str) -> bool:
-        return variant in _MODULES
-
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not self.available():
-            raise UnsupportedVariant(self.unavailable_reason())
+            raise UnsupportedVariant(f"pqcrypto not importable: {self._import_error}")
         module_name = _MODULES.get(descriptor.variant)
         if module_name is None:
-            raise UnsupportedVariant(
-                f"pqclean provider has no implementation of {descriptor.variant!r}"
-            )
+            raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")
         module = importlib.import_module(f"pqcrypto.sign.{module_name}")
         return PqcleanBackend(module)

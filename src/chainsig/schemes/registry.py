@@ -1,10 +1,11 @@
-"""Provider registry and scheme instantiation."""
+"""Scheme instantiation: the one place that picks a variant's backend."""
 
 from __future__ import annotations
 
+import functools
+import logging
 import os
-import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import UnsupportedVariant
 from .base import Provider, SchemeInstance
@@ -16,83 +17,54 @@ from .stub import StubProvider
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
 
+logger = logging.getLogger(__name__)
+
 #: set this to a provider name to force every variant onto one backend
 PROVIDER_ENV = "CHAINSIG_PROVIDER"
 
-_lock = threading.Lock()
-_factories: dict[str, Callable[[], Provider]] = {
+_PROVIDERS: dict[str, type[Provider]] = {
     "ecdsa": EcdsaProvider,
     "oqs": OqsProvider,
     "pqclean": PqcleanProvider,
     "stub": StubProvider,
 }
-_instances: dict[str, Provider] = {}
 
-# PQC routing is preference-ordered: liboqs first (optimized code, full
-# coverage), the PQClean wheels as fallback
-_PQC_PREFERENCE = ("oqs", "pqclean")
-
-
-def register_provider(factory: Callable[[], Provider], name: str | None = None) -> None:
-    """Add a provider under its name; replaces any previous registration."""
-    with _lock:
-        key = name if name is not None else factory().name
-        _factories[key] = factory
-        _instances.pop(key, None)
+# post-quantum variants are tried in preference order: liboqs first
+# (optimized code, full coverage), the PQClean wheels as fallback
+_PQC_CANDIDATES = ("oqs", "pqclean")
 
 
-def provider_names() -> tuple[str, ...]:
-    with _lock:
-        return tuple(sorted(_factories))
-
-
+@functools.cache
 def get_provider(name: str) -> Provider:
-    """Return the (cached) provider registered under name."""
-    with _lock:
-        provider = _instances.get(name)
-        if provider is None:
-            factory = _factories.get(name)
-            if factory is None:
-                raise UnsupportedVariant(f"no provider registered under {name!r}")
-            provider = factory()
-            _instances[name] = provider
-    return provider
+    """Return the provider registered under name, built once per process."""
+    factory = _PROVIDERS.get(name)
+    if factory is None:
+        raise UnsupportedVariant(f"no provider registered under {name!r}")
+    return factory()
 
 
-def route_variant(family: str, variant: str) -> str:
-    """Pick the provider_key for a catalog entry on this host."""
+def _candidates(descriptor: "VariantDescriptor") -> tuple[str, ...]:
     override = os.environ.get(PROVIDER_ENV)
     if override:
-        return override
-    if family == "ECDSA":
-        return "ecdsa"
-    for name in _PQC_PREFERENCE:
-        try:
-            provider = get_provider(name)
-        except UnsupportedVariant:
-            continue
-        if provider.available() and provider.supports(variant):
-            return name
-    # nothing usable; name the preferred backend so instantiation fails
-    # with its diagnostic instead of silently vanishing
-    return _PQC_PREFERENCE[0]
+        return (override,)
+    if descriptor.family == "ECDSA":
+        return ("ecdsa",)
+    return _PQC_CANDIDATES
 
 
 def instantiate(descriptor: "VariantDescriptor") -> SchemeInstance:
-    """Bind a catalog entry to the backend named by its provider_key.
+    """Bind a catalog entry to the first candidate backend that serves it.
 
-    Raises UnsupportedVariant when the provider is unknown, unavailable
-    on this host, or does not implement the variant; callers skip the
-    variant with a warning in that case.
+    Raises UnsupportedVariant, with one "<provider>: <reason>" part per
+    candidate, when none does; callers skip the variant in that case.
     """
-    provider = get_provider(descriptor.provider_key)
-    if not provider.available():
-        raise UnsupportedVariant(
-            f"{descriptor.variant}: provider {provider.name!r} unavailable"
-            f" ({provider.unavailable_reason()})"
-        )
-    if not provider.supports(descriptor.variant):
-        raise UnsupportedVariant(
-            f"{descriptor.variant}: not implemented by provider {provider.name!r}"
-        )
-    return SchemeInstance(descriptor, provider.create(descriptor))
+    reasons = []
+    for name in _candidates(descriptor):
+        try:
+            backend = get_provider(name).create(descriptor)
+        except UnsupportedVariant as exc:
+            reasons.append(f"{name}: {exc}")
+            continue
+        logger.info("%s via %s", descriptor.variant, name)
+        return SchemeInstance(descriptor, backend)
+    raise UnsupportedVariant("; ".join(reasons))

@@ -69,12 +69,7 @@ class BrokenStubBackend(StubBackend):
 
 
 class StubProvider(Provider):
-    name = "stub"
-
     def available(self) -> bool:
-        return True
-
-    def supports(self, variant: str) -> bool:
         return True
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:

@@ -43,7 +43,6 @@ def make_stub_descriptor(
         variant=variant,
         level=level,
         is_pqc=is_pqc,
-        provider_key="stub",
     )
 
 

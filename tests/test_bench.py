@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 
 import pytest
 from hypothesis import given
@@ -18,7 +17,6 @@ from chainsig.bench import (
     probe_environment,
     summarize,
     time_operation,
-    write_raw_samples,
 )
 from chainsig.errors import CorrectnessViolation, EmptySamples
 from chainsig.schemes.base import SchemeInstance
@@ -194,7 +192,6 @@ class TestBenchmarkVariant:
         assert record.environment is fake_environment
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
             assert stat.n == 30
-        assert record.raw_samples is None
 
     def test_known_delay_recovered(self, fake_environment):
         instance = make_stub_instance(
@@ -211,46 +208,3 @@ class TestBenchmarkVariant:
         plan = RunPlan(warmup=1, runs=5)
         with pytest.raises(CorrectnessViolation, match="returned false"):
             benchmark_variant(instance, plan, environment=fake_environment)
-
-    def test_collect_raw_lengths(self, fake_environment):
-        instance = make_stub_instance()
-        plan = RunPlan(warmup=1, runs=12)
-        record = benchmark_variant(
-            instance, plan, environment=fake_environment, collect_raw=True
-        )
-        assert len(record.raw_samples.keypair) == 12
-        assert len(record.raw_samples.sign) == 12
-        assert len(record.raw_samples.verify) == 12
-        assert close(
-            record.keypair_stat.mean_ms,
-            two_pass_mean_std(list(record.raw_samples.keypair))[0],
-        )
-
-
-class TestWriteRawSamples:
-    def test_files_and_format(self, tmp_path, fake_environment):
-        instance = make_stub_instance(variant="Stub-Raw")
-        plan = RunPlan(warmup=0, runs=7)
-        record = benchmark_variant(
-            instance, plan, environment=fake_environment, collect_raw=True
-        )
-        written = write_raw_samples(record, tmp_path)
-        assert sorted(p.name for p in written) == [
-            "Stub-Raw_keypair.txt",
-            "Stub-Raw_sign.txt",
-            "Stub-Raw_verify.txt",
-        ]
-        pattern = re.compile(r"^\d+\.\d{6}$")
-        for path in written:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            assert len(lines) == 7
-            for line in lines:
-                assert pattern.match(line), line
-
-    def test_requires_raw_samples(self, tmp_path, fake_environment):
-        instance = make_stub_instance()
-        record = benchmark_variant(
-            instance, RunPlan(warmup=0, runs=2), environment=fake_environment
-        )
-        with pytest.raises(ValueError, match="no raw samples"):
-            write_raw_samples(record, tmp_path)

@@ -12,7 +12,12 @@ from chainsig.schemes import (
     by_variant,
     catalog,
     filter_by_levels,
+    get_provider,
+    instantiate,
+    oqs,
+    pqclean,
 )
+from chainsig.schemes.stub import StubBackend
 from golden_catalog import GOLDEN_FAMILY_ORDER, GOLDEN_LEVEL_COUNTS, GOLDEN_ROWS
 
 
@@ -65,14 +70,26 @@ def test_by_variant_round_trips():
         assert index[descriptor.variant] == descriptor
 
 
-def test_provider_key_assigned_everywhere():
-    for descriptor in catalog():
-        assert descriptor.provider_key
+def test_catalog_loads_no_backend(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("catalog() probed a backend")
+
+    monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+    monkeypatch.setattr(oqs, "_load_library", refuse)
+    monkeypatch.setattr(pqclean, "_probe", refuse)
+    # drop cached providers so a probe would have to run again
+    get_provider.cache_clear()
+    try:
+        assert len(catalog()) == 46
+        assert len(by_variant()) == 46
+    finally:
+        get_provider.cache_clear()
 
 
 def test_provider_env_override_applies_to_all(monkeypatch):
     monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
-    assert {d.provider_key for d in catalog()} == {"stub"}
+    for descriptor in catalog():
+        assert isinstance(instantiate(descriptor)._backend, StubBackend)
 
 
 def test_filter_by_levels_subset_and_order():

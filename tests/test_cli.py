@@ -118,8 +118,23 @@ class TestParseArgs:
 
 class TestConfigSerialization:
     def test_round_trip_defaults(self):
+        # the CLI's defaults and the dataclass's agree, field by field
         config = CliConfig()
-        assert CliConfig.from_dict(config.to_dict()) == config
+        assert parse_args([]) == config
+        assert config.to_dict() == {
+            "runs": 10000,
+            "warmup": 1000,
+            "levels": [1, 2, 3, 5],
+            "runs_simulator": 1000,
+            "models": [1, 2],
+            "seed": 42,
+            "output_dir": "chainsig-results",
+            "families": None,
+            "message_len": 32,
+            "skip_benchmark": False,
+            "skip_simulation": False,
+            "replay_benchmarks": None,
+        }
 
     def test_round_trip_custom(self, tmp_path):
         config = CliConfig(
@@ -136,7 +151,20 @@ class TestConfigSerialization:
             skip_simulation=True,
             replay_benchmarks=tmp_path / "prior.csv",
         )
-        assert CliConfig.from_dict(config.to_dict()) == config
+        assert config.to_dict() == {
+            "runs": 5,
+            "warmup": 1,
+            "levels": [2, 5],
+            "runs_simulator": 9,
+            "models": [2],
+            "seed": -3,
+            "output_dir": str(tmp_path / "results"),
+            "families": ["Falcon"],
+            "message_len": 16,
+            "skip_benchmark": False,
+            "skip_simulation": True,
+            "replay_benchmarks": str(tmp_path / "prior.csv"),
+        }
 
     def test_to_dict_is_json_compatible(self):
         assert json.loads(json.dumps(CliConfig().to_dict())) == CliConfig().to_dict()
@@ -184,7 +212,7 @@ class TestRunPipeline:
         manifest = json.loads(
             (config.output_dir / "manifest.json").read_text(encoding="utf-8")
         )
-        assert CliConfig.from_dict(manifest["config"]) == config
+        assert manifest["config"] == config.to_dict()
         assert manifest["skipped"] == []
         assert "benchmark.csv" in manifest["outputs"]
         assert "simulation.csv" in manifest["outputs"]

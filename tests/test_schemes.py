@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes.util
+import logging
 import os
 import random
 
@@ -11,13 +13,13 @@ from chainsig.errors import BackendFailure, UnsupportedVariant
 from chainsig.schemes import (
     VariantDescriptor,
     by_variant,
-    catalog,
     get_provider,
     instantiate,
-    provider_names,
-    register_provider,
+    oqs,
+    registry,
 )
 from chainsig.schemes.base import Provider, SchemeInstance
+from chainsig.schemes.ecdsa import EcdsaBackend
 from chainsig.schemes.stub import BrokenStubBackend, StubBackend, StubProvider
 from conftest import instantiate_or_skip, make_stub_descriptor, make_stub_instance
 
@@ -116,11 +118,15 @@ class TestInstanceGuards:
         assert result is True
 
 
+class _RefusingProvider(StubProvider):
+    def create(self, descriptor):
+        raise UnsupportedVariant("refused")
+
+
 class TestRegistry:
-    def test_known_provider_names(self):
-        names = provider_names()
-        for expected in ("ecdsa", "oqs", "pqclean", "stub"):
-            assert expected in names
+    def test_known_providers_resolve(self):
+        for name in ("ecdsa", "oqs", "pqclean", "stub"):
+            assert isinstance(get_provider(name), Provider)
 
     def test_get_provider_is_cached(self):
         assert get_provider("stub") is get_provider("stub")
@@ -129,58 +135,63 @@ class TestRegistry:
         with pytest.raises(UnsupportedVariant, match="no provider registered"):
             get_provider("no-such-backend")
 
-    def test_register_provider_roundtrip(self):
-        class NamedStub(StubProvider):
-            name = "test-only"
+    def test_instantiate_unknown_key(self, monkeypatch):
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "no-such-backend")
+        with pytest.raises(UnsupportedVariant, match="no provider registered"):
+            instantiate(by_variant()["P-256"])
 
-        register_provider(NamedStub, name="test-only")
-        try:
-            assert isinstance(get_provider("test-only"), NamedStub)
-        finally:
-            # drop the temporary registration to keep other tests clean
-            from chainsig.schemes import registry
-
-            with registry._lock:
-                registry._factories.pop("test-only", None)
-                registry._instances.pop("test-only", None)
-
-    def test_instantiate_unknown_key(self):
-        descriptor = VariantDescriptor(
-            family="Stub",
-            variant="Stub-A",
-            level=1,
-            is_pqc=False,
-            provider_key="no-such-backend",
+    def test_instantiate_unsupported_variant(self, monkeypatch):
+        mystery = VariantDescriptor(
+            family="Mystery", variant="Mystery-1", level=1, is_pqc=True
         )
-        with pytest.raises(UnsupportedVariant):
-            instantiate(descriptor)
-
-    def test_instantiate_unsupported_variant(self):
-        descriptor = VariantDescriptor(
-            family="Mystery",
-            variant="Mystery-1",
-            level=1,
-            is_pqc=True,
-            provider_key="ecdsa",
-        )
-        with pytest.raises(UnsupportedVariant, match="not implemented"):
-            instantiate(descriptor)
+        with pytest.raises(UnsupportedVariant, match="oqs: does not serve"):
+            instantiate(mystery)
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "ecdsa")
+        with pytest.raises(UnsupportedVariant, match="^ecdsa: no curve for"):
+            instantiate(by_variant()["ML-DSA-44"])
 
     def test_env_override_routes_to_stub(self, monkeypatch):
         monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
-        descriptor = by_variant()["P-256"]
-        assert descriptor.provider_key == "stub"
-        instance = instantiate(descriptor)
+        instance = instantiate(by_variant()["P-256"])
+        assert isinstance(instance._backend, StubBackend)
         pk, sk = instance.keypair()
         sig = instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig)
 
-    def test_ecdsa_family_routes_to_ecdsa_provider(self):
-        for descriptor in catalog():
-            if descriptor.family == "ECDSA":
-                assert descriptor.provider_key == "ecdsa"
-            else:
-                assert descriptor.provider_key != "ecdsa"
+    def test_ecdsa_family_routes_to_ecdsa_provider(self, monkeypatch, caplog):
+        monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+        caplog.set_level(logging.INFO, logger="chainsig.schemes.registry")
+        for variant in ("P-256", "P-384", "P-521"):
+            instance = instantiate(by_variant()[variant])
+            assert isinstance(instance._backend, EcdsaBackend)
+            assert f"{variant} via ecdsa" in caplog.messages
+
+    def test_first_working_candidate_wins(self, monkeypatch, caplog):
+        providers = {"oqs": _RefusingProvider(), "pqclean": StubProvider()}
+        monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+        monkeypatch.setattr(registry, "get_provider", providers.__getitem__)
+        caplog.set_level(logging.INFO, logger="chainsig.schemes.registry")
+        instance = instantiate(by_variant()["ML-DSA-44"])
+        assert isinstance(instance._backend, StubBackend)
+        assert caplog.messages == ["ML-DSA-44 via pqclean"]
+
+    def test_every_refusal_is_joined(self, monkeypatch):
+        monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+        monkeypatch.setattr(registry, "get_provider", lambda name: _RefusingProvider())
+        with pytest.raises(UnsupportedVariant) as info:
+            instantiate(by_variant()["Falcon-512"])
+        assert str(info.value) == "oqs: refused; pqclean: refused"
+
+    def test_unserved_pqc_variant_names_both_candidates(self, monkeypatch):
+        monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+        try:
+            instantiate(by_variant()["ML-DSA-44"])
+        except UnsupportedVariant as exc:
+            reason = str(exc)
+        else:
+            pytest.skip("a post-quantum backend serves ML-DSA-44 here")
+        assert "\n" not in reason
+        assert "oqs: " in reason and "pqclean: " in reason
 
 
 @pytest.mark.parametrize("variant", SMOKE_VARIANTS)
@@ -246,12 +257,17 @@ class TestEcdsaEdgeCases:
         assert p384.verify(pk, b"m", sig) is False
 
 
-def _oqs_instance_or_skip(variant_name: str):
-    # route_variant names oqs when no backend serves a variant at all, so
-    # the route alone does not say that liboqs is loaded
-    if by_variant()[variant_name].provider_key != "oqs":
-        pytest.skip(f"{variant_name} not routed to the native backend here")
-    return instantiate_or_skip(variant_name)
+def _oqs_backend_or_skip(variant_name: str):
+    try:
+        return get_provider("oqs").create(by_variant()[variant_name])
+    except UnsupportedVariant as exc:
+        pytest.skip(f"{variant_name} not served by liboqs here: {exc}")
+
+
+def _oqs_instance_or_skip(variant_name: str) -> SchemeInstance:
+    return SchemeInstance(
+        by_variant()[variant_name], _oqs_backend_or_skip(variant_name)
+    )
 
 
 class TestOqsEdgeCases:
@@ -271,6 +287,54 @@ class TestOqsEdgeCases:
         assert instance.verify(pk, b"m", b"\x00" * 100) is False
 
 
+class TestOqsLoadDiagnostic:
+    """A missing liboqs is reported in one line, with the paths at DEBUG."""
+
+    def _reason(self) -> str:
+        # a fresh provider, so the search runs again under the patches
+        with pytest.raises(UnsupportedVariant) as info:
+            oqs.OqsProvider().create(by_variant()["ML-DSA-44"])
+        reason = str(info.value)
+        assert "\n" not in reason
+        return reason
+
+    def test_search_is_summarized(self, monkeypatch, tmp_path, caplog):
+        missing = [str(tmp_path / f"lib{i}" / "liboqs.so") for i in range(3)]
+        monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(missing))
+        caplog.set_level(logging.DEBUG, logger="chainsig.schemes.oqs")
+        reason = self._reason()
+        assert reason == "liboqs not found (3 paths searched; set CHAINSIG_LIBOQS)"
+        for path in missing:
+            assert any(path in message for message in caplog.messages)
+
+    def test_env_path_is_named(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "nowhere" / "liboqs.so")
+        monkeypatch.setenv("CHAINSIG_LIBOQS", path)
+        reason = self._reason()
+        assert reason.startswith("CHAINSIG_LIBOQS: ")
+        assert reason.count(path) == 1
+
+    def test_library_that_is_not_liboqs(self, monkeypatch):
+        libc = ctypes.util.find_library("c")
+        if libc is None:
+            pytest.skip("no C library to load")
+        monkeypatch.setenv("CHAINSIG_LIBOQS", libc)
+        reason = self._reason()
+        assert reason.startswith("CHAINSIG_LIBOQS: ") and "OQS_version" in reason
+
+    def test_unknown_abi_keeps_its_message(self, monkeypatch):
+        def wrong_abi(path):
+            if path == "/b":
+                raise oqs.OqsLoadError("/b is liboqs 0.9.0; this binding targets 0.12.x")
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(["/a", "/b", "/c"]))
+        monkeypatch.setattr(oqs, "_Library", wrong_abi)
+        assert self._reason() == "/b is liboqs 0.9.0; this binding targets 0.12.x"
+
+
 class TestCrossPaddingHardening:
     """Cross signatures carry zero-padding bits inside packed vectors.
 
@@ -281,13 +345,7 @@ class TestCrossPaddingHardening:
     """
 
     def test_tampered_padding_bits_rejected(self):
-        provider = get_provider("oqs")
-        if not provider.available():
-            pytest.skip(f"oqs unavailable: {provider.unavailable_reason()}")
-        descriptor = by_variant()["Cross-rsdp-128-fast"]
-        if not provider.supports(descriptor.variant):
-            pytest.skip("Cross-rsdp-128-fast not enabled in this liboqs")
-        backend = provider.create(descriptor)
+        backend = _oqs_backend_or_skip("Cross-rsdp-128-fast")
         if backend.library_version.startswith("0.12."):
             pytest.skip(
                 "only a malleable Cross implementation is available here"
@@ -310,50 +368,30 @@ class TestCrossPaddingHardening:
 
 
 class TestPqcleanFallback:
-    def test_direct_pqclean_roundtrip(self):
-        provider = get_provider("pqclean")
-        if not provider.available():
-            pytest.skip(f"pqclean unavailable: {provider.unavailable_reason()}")
-        descriptor = VariantDescriptor(
-            family="ML-DSA",
-            variant="ML-DSA-44",
-            level=2,
-            is_pqc=True,
-            provider_key="pqclean",
-        )
-        instance = instantiate(descriptor)
+    def test_direct_pqclean_roundtrip(self, monkeypatch):
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "pqclean")
+        instance = instantiate_or_skip("ML-DSA-44")
         pk, sk = instance.keypair()
         sig = instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig) is True
         assert instance.verify(pk, b"m", _flip_byte(sig)) is False
 
-    def test_dilithium_alias_roundtrip(self):
-        provider = get_provider("pqclean")
-        if not provider.available() or not provider.supports("Dilithium2"):
-            pytest.skip("pqclean Dilithium alias unavailable")
-        descriptor = VariantDescriptor(
-            family="Dilithium",
-            variant="Dilithium2",
-            level=2,
-            is_pqc=True,
-            provider_key="pqclean",
-        )
-        instance = instantiate(descriptor)
+    def test_dilithium_alias_roundtrip(self, monkeypatch):
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "pqclean")
+        instance = instantiate_or_skip("Dilithium2")
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
 
 
 def test_provider_abc_defaults():
+    # available() and create() are the whole interface
+    assert Provider.__abstractmethods__ == {"available", "create"}
+
     class Minimal(Provider):
-        name = "minimal"
-
         def available(self):
-            return False
-
-        def supports(self, variant):
             return False
 
         def create(self, descriptor):
             raise UnsupportedVariant("minimal supports nothing")
 
-    assert Minimal().unavailable_reason() == "backend not available"
+    assert Minimal().available() is False
