@@ -55,7 +55,7 @@ class RunPlan:
 
 @dataclass(frozen=True)
 class EnvironmentInfo:
-    """Host description attached to benchmark records."""
+    """Host description recorded in a run's manifest."""
 
     cpu_model: str
     memory_bytes: int
@@ -66,20 +66,9 @@ class EnvironmentInfo:
 @dataclass(frozen=True)
 class BenchmarkRecord:
     descriptor: object
-    environment: EnvironmentInfo
     keypair_stat: StatSummary
     sign_stat: StatSummary
     verify_stat: StatSummary
-
-
-def _monotonic_clock() -> Callable[[], int]:
-    try:
-        info = time.get_clock_info("perf_counter")
-    except ValueError as exc:  # pragma: no cover - perf_counter always exists
-        raise ClockUnavailable(f"no perf_counter clock: {exc}") from exc
-    if not info.monotonic:  # pragma: no cover - never true on CPython
-        raise ClockUnavailable("perf_counter is not monotonic on this platform")
-    return time.perf_counter_ns
 
 
 def measure_timer_resolution(pairs: int = _RESOLUTION_PAIRS) -> float:
@@ -89,7 +78,7 @@ def measure_timer_resolution(pairs: int = _RESOLUTION_PAIRS) -> float:
     effective granularity of timed intervals (clock quantum plus the
     cost of a reading).
     """
-    clock = _monotonic_clock()
+    clock = time.perf_counter_ns
     best = None
     previous = clock()
     for _ in range(pairs):
@@ -114,7 +103,7 @@ def time_operation(
     single argument; setup executes outside the timed window. Failures
     during warm-up abort before any measurement is taken.
     """
-    clock = _monotonic_clock()
+    clock = time.perf_counter_ns
     samples: list[float] = []
     if setup is None:
         for _ in range(plan.warmup):
@@ -149,7 +138,6 @@ def summarize(samples: Iterable[float]) -> StatSummary:
 def benchmark_variant(
     instance: SchemeInstance,
     plan: RunPlan,
-    environment: EnvironmentInfo | None = None,
 ) -> BenchmarkRecord:
     """Measure keypair, sign and verify for one variant.
 
@@ -157,10 +145,10 @@ def benchmark_variant(
     keypair and signs a fresh random message of plan.message_len bytes
     per iteration. verify cycles over precomputed (message, signature)
     pairs; every timed verification must return true, otherwise the
-    variant is rejected with CorrectnessViolation.
+    variant is rejected with CorrectnessViolation. The host is not
+    probed; callers that label rows call probe_environment once.
     """
     variant = instance.descriptor.variant
-    env = environment if environment is not None else probe_environment()
 
     keypair_samples = time_operation(instance.keypair, plan)
 
@@ -189,7 +177,6 @@ def benchmark_variant(
 
     return BenchmarkRecord(
         descriptor=instance.descriptor,
-        environment=env,
         keypair_stat=summarize(keypair_samples),
         sign_stat=summarize(sign_samples),
         verify_stat=summarize(verify_samples),

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import itertools
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bench import (
     BenchmarkRecord,
@@ -39,13 +38,14 @@ from .report import (
     synthesize,
     write_csv,
 )
-from .schemes import FAMILY_ORDER, catalog, filter_by_levels, instantiate
-from .sim import ChainModel, config_echo, default_config, simulate_batch
+from .schemes import FAMILY_ORDER, VALID_LEVELS, catalog, filter_by_levels, instantiate
+from .sim import (
+    DEFAULT_SEED, DEFAULT_SIM_RUNS, ChainModel, config_echo, default_config, simulate_batch
+)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_LEVELS = frozenset({1, 2, 3, 5})
-DEFAULT_OUTPUT_DIR = Path("chainsig-results")
 
 _GROUP_SLUGS = (
     (LevelGroup.LOWER, "lower"),
@@ -53,41 +53,55 @@ _GROUP_SLUGS = (
     (LevelGroup.LEVEL5, "level5"),
 )
 
+#: settings echoed as `# name=value` lines at the top of each CSV; output
+#: and input paths are left out so reruns with identical measurement
+#: settings produce identical CSV bytes
+_COMMENTED = (
+    "runs", "warmup", "levels", "models", "runs_simulator", "seed", "message_len", "families"
+)
+
+
+def _plain(value: object) -> object:
+    """A setting in JSON form: sets sorted, tuples as lists, models and paths unwrapped."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, ChainModel):
+        return value.value
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def _text(value: object, separator: str) -> str:
+    """A plain setting as text: lists joined, None (every family) as 'all'."""
+    if value is None:
+        return "all"
+    if isinstance(value, list):
+        return separator.join(str(item) for item in value)
+    return str(value)
+
 
 @dataclass(frozen=True)
 class CliConfig:
-    runs: int = 10000
-    warmup: int = 1000
+    """Every run setting and its default; the CLI flags override fields."""
+
+    runs: int = RunPlan.runs
+    warmup: int = RunPlan.warmup
     levels: frozenset[int] = DEFAULT_LEVELS
-    runs_simulator: int = 1000
-    models: tuple[ChainModel, ...] = (ChainModel.BITCOIN, ChainModel.ETHEREUM)
-    seed: int = 42
-    output_dir: Path = DEFAULT_OUTPUT_DIR
+    runs_simulator: int = DEFAULT_SIM_RUNS
+    models: tuple[ChainModel, ...] = tuple(ChainModel)
+    seed: int = DEFAULT_SEED
+    output_dir: Path = Path("chainsig-results")
     families: tuple[str, ...] | None = None
-    message_len: int = 32
+    message_len: int = RunPlan.message_len
     skip_benchmark: bool = False
     skip_simulation: bool = False
     replay_benchmarks: Path | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "warmup": self.warmup,
-            "levels": sorted(self.levels),
-            "runs_simulator": self.runs_simulator,
-            "models": [model.value for model in self.models],
-            "seed": self.seed,
-            "output_dir": str(self.output_dir),
-            "families": list(self.families) if self.families is not None else None,
-            "message_len": self.message_len,
-            "skip_benchmark": self.skip_benchmark,
-            "skip_simulation": self.skip_simulation,
-            "replay_benchmarks": (
-                str(self.replay_benchmarks)
-                if self.replay_benchmarks is not None
-                else None
-            ),
-        }
+        return {field.name: _plain(getattr(self, field.name)) for field in fields(self)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,48 +109,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
 
-
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    return parse
 
 
 def _build_parser() -> _Parser:
+    # flags left off the command line stay out of the namespace, so
+    # CliConfig's field defaults are the only defaults
     parser = _Parser(
         prog="chainsig",
         description=(
             "Benchmark signature schemes and propagate the measured verify"
             " cost through Bitcoin and Ethereum block-verification models."
         ),
+        argument_default=argparse.SUPPRESS,
     )
+    default = {name: _text(value, " ") for name, value in CliConfig().to_dict().items()}
     parser.add_argument(
         "--runs",
         "-r",
-        type=_positive_int,
-        default=10000,
-        help="measured executions per operation (default 10000)",
+        type=_int_at_least(1),
+        help=f"measured executions per operation (default {default['runs']})",
     )
     parser.add_argument(
         "--warm-up",
         "-wp",
         dest="warmup",
-        type=_non_negative_int,
-        default=1000,
-        help="discarded warm-up executions (default 1000)",
+        type=_int_at_least(0),
+        help=f"discarded warm-up executions (default {default['warmup']})",
     )
     parser.add_argument(
         "--levels",
@@ -144,50 +153,45 @@ def _build_parser() -> _Parser:
         action="extend",
         nargs="+",
         type=int,
-        choices=[1, 2, 3, 4, 5],
-        default=[],
-        help="NIST security levels to include; repeatable (default 1 2 3 5)",
+        choices=sorted(VALID_LEVELS),
+        help=f"NIST security levels to include; repeatable (default {default['levels']})",
     )
     parser.add_argument(
         "--runs-simulator",
-        type=_positive_int,
-        default=1000,
-        help="simulation runs per (variant, model) pair (default 1000)",
+        type=_int_at_least(1),
+        help=f"simulation runs per (variant, model) pair (default {default['runs_simulator']})",
     )
     parser.add_argument(
         "--model",
+        dest="models",
         action="extend",
         nargs="+",
         type=int,
-        choices=[1, 2],
-        default=[],
-        help="blockchain models: 1 Bitcoin, 2 Ethereum; repeatable (default both)",
+        choices=[model.value for model in ChainModel],
+        help=f"blockchain models: 1 Bitcoin, 2 Ethereum; repeatable (default {default['models']})",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=42,
-        help="simulation seed (default 42)",
+        help=f"simulation seed (default {default['seed']})",
     )
     parser.add_argument(
         "--output-dir",
         type=Path,
-        default=DEFAULT_OUTPUT_DIR,
-        help=f"directory for CSVs, charts and the manifest (default {DEFAULT_OUTPUT_DIR})",
+        help=f"directory for CSVs, charts and the manifest (default {default['output_dir']})",
     )
     parser.add_argument(
         "--families",
         action="extend",
         nargs="+",
+        choices=FAMILY_ORDER,
         metavar="FAMILY",
-        default=[],
-        help="restrict to these algorithm families; repeatable (default all)",
+        help=f"restrict to these algorithm families; repeatable (default {default['families']})",
     )
     parser.add_argument(
         "--message-len",
-        type=_positive_int,
-        default=32,
-        help="signed message length in bytes (default 32)",
+        type=_int_at_least(1),
+        help=f"signed message length in bytes (default {default['message_len']})",
     )
     parser.add_argument(
         "--skip-benchmark",
@@ -211,33 +215,14 @@ def _build_parser() -> _Parser:
 def parse_args(argv: Sequence[str]) -> CliConfig:
     """Translate argv into a CliConfig; raises UsageError on bad input."""
     parser = _build_parser()
-    namespace = parser.parse_args(list(argv))
-
-    families = tuple(dict.fromkeys(namespace.families))
-    for family in families:
-        if family not in FAMILY_ORDER:
-            known = ", ".join(FAMILY_ORDER)
-            parser.error(
-                f"argument --families: unknown family {family!r} (choose from {known})"
-            )
-
-    models = tuple(
-        sorted({ChainModel(value) for value in namespace.model}, key=lambda m: m.value)
-    )
-    config = CliConfig(
-        runs=namespace.runs,
-        warmup=namespace.warmup,
-        levels=frozenset(namespace.levels) if namespace.levels else DEFAULT_LEVELS,
-        runs_simulator=namespace.runs_simulator,
-        models=models if models else (ChainModel.BITCOIN, ChainModel.ETHEREUM),
-        seed=namespace.seed,
-        output_dir=namespace.output_dir,
-        families=families if families else None,
-        message_len=namespace.message_len,
-        skip_benchmark=namespace.skip_benchmark,
-        skip_simulation=namespace.skip_simulation,
-        replay_benchmarks=namespace.replay_benchmarks,
-    )
+    given = vars(parser.parse_args(list(argv)))
+    if "levels" in given:
+        given["levels"] = frozenset(given["levels"])
+    if "models" in given:
+        given["models"] = tuple(ChainModel(value) for value in sorted(set(given["models"])))
+    if "families" in given:
+        given["families"] = tuple(dict.fromkeys(given["families"]))
+    config = replace(CliConfig(), **given)
     if (
         config.skip_benchmark
         and config.replay_benchmarks is None
@@ -251,19 +236,8 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
 
 
 def _config_comments(config: CliConfig) -> list[str]:
-    # output_dir and file paths are deliberately excluded so reruns with
-    # identical measurement settings produce identical CSV bytes
-    return [
-        f"runs={config.runs}",
-        f"warmup={config.warmup}",
-        "levels=" + ",".join(str(level) for level in sorted(config.levels)),
-        "models=" + ",".join(str(model.value) for model in config.models),
-        f"runs_simulator={config.runs_simulator}",
-        f"seed={config.seed}",
-        f"message_len={config.message_len}",
-        "families="
-        + (",".join(config.families) if config.families is not None else "all"),
-    ]
+    plain = config.to_dict()
+    return [f"{name}={_text(plain[name], ',')}" for name in _COMMENTED]
 
 
 def _emit_charts(
@@ -308,16 +282,26 @@ def run_pipeline(config: CliConfig) -> int:
     skipped: list[dict[str, str]] = []
     # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None
+    # the host label of every row; no row carries it if no stage yields rows
+    machine = ""
     replayed_from: dict | None = None
     bench_dataset = ReportDataset(())
     replaying = config.replay_benchmarks is not None
 
     if replaying:
         replayed = parse_csv(config.replay_benchmarks)
+        machines = sorted({row.machine for row in replayed.rows})
+        if len(machines) > 1:
+            raise IoFailure(
+                f"{config.replay_benchmarks}: rows from {len(machines)} machines"
+                f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
+            )
+        if machines:
+            machine = machines[0]
         replayed_from = {
             "path": str(config.replay_benchmarks),
             "sha256": hashlib.sha256(config.replay_benchmarks.read_bytes()).hexdigest(),
-            "machines": sorted({row.machine for row in replayed.rows}),
+            "machines": machines,
         }
         bench_dataset = ReportDataset(
             tuple(
@@ -334,6 +318,7 @@ def run_pipeline(config: CliConfig) -> int:
                 skipped.append({"variant": descriptor.variant, "reason": reason})
     elif not config.skip_benchmark:
         environment = probe_environment()
+        machine = environment.cpu_model
         logger.info(
             "host: %s, timer resolution %.0f ns",
             environment.cpu_model,
@@ -351,11 +336,11 @@ def run_pipeline(config: CliConfig) -> int:
                 skipped.append({"variant": descriptor.variant, "reason": str(exc)})
                 continue
             try:
-                records.append(benchmark_variant(instance, plan, environment=environment))
+                records.append(benchmark_variant(instance, plan))
             except CorrectnessViolation as exc:
                 logger.warning("skipping %s: %s", descriptor.variant, exc)
                 skipped.append({"variant": descriptor.variant, "reason": str(exc)})
-        bench_dataset = synthesize(records, [])
+        bench_dataset = synthesize(records, [], machine=machine)
 
     outputs: list[str] = []
     if replaying or not config.skip_benchmark:
@@ -380,22 +365,15 @@ def run_pipeline(config: CliConfig) -> int:
             )
             for model in config.models
         }
-        by_machine: dict[str, list] = {}
+        sims = []
         for row in bench_dataset.rows:
             if row.operation is not Operation.VERIFY:
                 continue
             descriptor = selected_by_variant[row.variant]
             stat = StatSummary(mean_ms=row.mean_ms, std_ms=row.std_ms, n=row.n)
             for model, sim_config in sim_configs.items():
-                result = simulate_batch(sim_config, stat)
-                by_machine.setdefault(row.machine, []).append(
-                    (descriptor, model, result)
-                )
-        sim_rows = itertools.chain.from_iterable(
-            synthesize([], entries, machine=machine).rows
-            for machine, entries in sorted(by_machine.items())
-        )
-        sim_dataset = ReportDataset(tuple(sim_rows))
+                sims.append((descriptor, model, simulate_batch(sim_config, stat)))
+        sim_dataset = synthesize([], sims, machine=machine)
 
         sim_comments = _config_comments(config)
         for model, sim_config in sim_configs.items():

@@ -162,17 +162,16 @@ class ReportDataset:
 def synthesize(
     records: Sequence[BenchmarkRecord],
     sims: Sequence[tuple[VariantDescriptor, ChainModel, SimulationResult]],
-    machine: str | None = None,
+    machine: str,
 ) -> ReportDataset:
     """Consolidate both stages into one dataset.
 
     Each benchmark record yields three rows (keypair, sign, verify);
-    each simulation entry yields one verify row. The machine label for
-    simulation rows defaults to the first record's CPU model.
+    each simulation entry yields one verify row. Every row is labelled
+    with machine, the host that measured the benchmark.
     """
     rows = []
     for record in records:
-        label = machine or record.environment.cpu_model
         descriptor = record.descriptor
         for operation, stat in (
             (Operation.KEYPAIR, record.keypair_stat),
@@ -181,7 +180,7 @@ def synthesize(
         ):
             rows.append(
                 ReportRow(
-                    machine=label,
+                    machine=machine,
                     family=descriptor.family,
                     variant=descriptor.variant,
                     level=descriptor.level,
@@ -193,8 +192,6 @@ def synthesize(
                     n=stat.n,
                 )
             )
-    if machine is None:
-        machine = records[0].environment.cpu_model if records else "unknown"
     for descriptor, model, result in sims:
         rows.append(
             ReportRow(

@@ -1,9 +1,9 @@
 """Post-quantum backend over the `pqcrypto` wheels (PQClean reference code).
 
 Serves the lattice and hash based families. Mayo and Cross have no
-PQClean packaging, so this provider does not claim them. The Dilithium
-variants are served by the corresponding ML-DSA implementation, which
-this package ships under both names.
+PQClean packaging, so this provider does not claim them. Nor does it
+claim round-3 Dilithium: the package ships only FIPS 204 ML-DSA, a
+different scheme, and a Dilithium row must not carry ML-DSA numbers.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ _MODULES = {
     "ML-DSA-44": "ml_dsa_44",
     "ML-DSA-65": "ml_dsa_65",
     "ML-DSA-87": "ml_dsa_87",
-    "Dilithium2": "ml_dsa_44",
-    "Dilithium3": "ml_dsa_65",
-    "Dilithium5": "ml_dsa_87",
     "Falcon-512": "falcon_512",
     "Falcon-1024": "falcon_1024",
     "Falcon-padded-512": "falcon_padded_512",

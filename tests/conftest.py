@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from chainsig.bench import EnvironmentInfo
 from chainsig.errors import UnsupportedVariant
 from chainsig.schemes import VariantDescriptor, by_variant, instantiate
 from chainsig.schemes.base import SchemeInstance
@@ -69,13 +68,3 @@ def instantiate_or_skip(variant_name: str) -> SchemeInstance:
         return instantiate(descriptor)
     except UnsupportedVariant as exc:
         pytest.skip(f"{variant_name} unavailable: {exc}")
-
-
-@pytest.fixture()
-def fake_environment() -> EnvironmentInfo:
-    return EnvironmentInfo(
-        cpu_model="test-cpu",
-        memory_bytes=1 << 30,
-        os_descriptor="test-os",
-        timer_resolution_ns=100.0,
-    )

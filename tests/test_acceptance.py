@@ -27,7 +27,6 @@ from chainsig.bench import (
     RunPlan,
     StatSummary,
     benchmark_variant,
-    probe_environment,
     summarize,
 )
 from chainsig.cli import main
@@ -81,15 +80,10 @@ def criterion(number: int, title: str):
     return decorate
 
 
-@pytest.fixture(scope="module")
-def environment():
-    return probe_environment(resolution_pairs=200_000)
-
-
-def _bench(variant: str, runs: int, warmup: int, environment):
+def _bench(variant: str, runs: int, warmup: int):
     instance = instantiate_or_skip(variant)
     plan = RunPlan(warmup=warmup, runs=runs, message_len=32)
-    return benchmark_variant(instance, plan, environment=environment)
+    return benchmark_variant(instance, plan)
 
 
 def _correctness_sweep(variant: str, iterations: int = 100) -> None:
@@ -165,9 +159,9 @@ def test_criterion_03_correctness_full_catalog():
 
 
 @criterion(4, "ML-DSA-87 verifies at least 2x faster than ECDSA P-521")
-def test_criterion_04_level5_verify_ordering(environment):
-    mldsa = _bench("ML-DSA-87", runs=1000, warmup=100, environment=environment)
-    ecdsa = _bench("P-521", runs=1000, warmup=100, environment=environment)
+def test_criterion_04_level5_verify_ordering():
+    mldsa = _bench("ML-DSA-87", runs=1000, warmup=100)
+    ecdsa = _bench("P-521", runs=1000, warmup=100)
     factor = ecdsa.verify_stat.mean_ms / mldsa.verify_stat.mean_ms
     assert factor >= 2.0, (
         f"verify means: ML-DSA-87 {mldsa.verify_stat.mean_ms:.4f} ms,"
@@ -176,15 +170,15 @@ def test_criterion_04_level5_verify_ordering(environment):
 
 
 @criterion(5, "SPHINCS+ s-variants sign >=5x slower, verify >=1.5x faster than f")
-def test_criterion_05_sphincs_size_speed_tradeoff(environment):
+def test_criterion_05_sphincs_size_speed_tradeoff():
     start = time.monotonic()
     pairs = (
         ("SHA2-128s-simple", "SHA2-128f-simple"),
         ("SHAKE-128s-simple", "SHAKE-128f-simple"),
     )
     for size_variant, fast_variant in pairs:
-        size_opt = _bench(size_variant, runs=200, warmup=20, environment=environment)
-        speed_opt = _bench(fast_variant, runs=200, warmup=20, environment=environment)
+        size_opt = _bench(size_variant, runs=200, warmup=20)
+        speed_opt = _bench(fast_variant, runs=200, warmup=20)
         sign_ratio = size_opt.sign_stat.mean_ms / speed_opt.sign_stat.mean_ms
         verify_ratio = speed_opt.verify_stat.mean_ms / size_opt.verify_stat.mean_ms
         assert sign_ratio >= 5.0, (
@@ -197,8 +191,8 @@ def test_criterion_05_sphincs_size_speed_tradeoff(environment):
 
 
 @criterion(6, "Falcon-512 keypair >=20x sign, sign >=2x verify")
-def test_criterion_06_falcon_cost_profile(environment):
-    record = _bench("Falcon-512", runs=500, warmup=50, environment=environment)
+def test_criterion_06_falcon_cost_profile():
+    record = _bench("Falcon-512", runs=500, warmup=50)
     keypair_over_sign = record.keypair_stat.mean_ms / record.sign_stat.mean_ms
     sign_over_verify = record.sign_stat.mean_ms / record.verify_stat.mean_ms
     assert keypair_over_sign >= 20.0, (

@@ -183,28 +183,35 @@ class TestProbeEnvironment:
 
 
 class TestBenchmarkVariant:
-    def test_sample_accounting(self, fake_environment):
+    def test_sample_accounting(self):
         instance = make_stub_instance()
         plan = RunPlan(warmup=2, runs=30)
-        record = benchmark_variant(instance, plan, environment=fake_environment)
+        record = benchmark_variant(instance, plan)
         assert isinstance(record, BenchmarkRecord)
         assert record.descriptor is instance.descriptor
-        assert record.environment is fake_environment
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
             assert stat.n == 30
 
-    def test_known_delay_recovered(self, fake_environment):
+    def test_known_delay_recovered(self):
         instance = make_stub_instance(
             keypair_ms=1.0, sign_ms=1.0, verify_ms=1.0
         )
         plan = RunPlan(warmup=2, runs=25)
-        record = benchmark_variant(instance, plan, environment=fake_environment)
+        record = benchmark_variant(instance, plan)
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
             assert 1.0 <= stat.mean_ms <= 1.35
             assert stat.std_ms < 0.25 * stat.mean_ms
 
-    def test_broken_backend_rejected_before_measurement(self, fake_environment):
+    def test_broken_backend_rejected_before_measurement(self):
         instance = SchemeInstance(make_stub_descriptor(), BrokenStubBackend())
         plan = RunPlan(warmup=1, runs=5)
         with pytest.raises(CorrectnessViolation, match="returned false"):
-            benchmark_variant(instance, plan, environment=fake_environment)
+            benchmark_variant(instance, plan)
+
+    def test_host_is_not_probed(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("benchmark_variant must not probe the host")
+
+        monkeypatch.setattr("chainsig.bench.probe_environment", no_probe)
+        record = benchmark_variant(make_stub_instance(), RunPlan(warmup=0, runs=3))
+        assert record.verify_stat.n == 3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from chainsig.cli import (
     run_pipeline,
 )
 from chainsig.errors import UsageError
-from chainsig.report import Stage, parse_csv
+from chainsig.report import CSV_HEADER, ReportDataset, Stage, parse_csv, write_csv
 from chainsig.sim import ChainModel
 
 
@@ -229,6 +230,33 @@ class TestRunPipeline:
         assert "# levels=2" in head
         assert "# families=all" in head
 
+    def test_csv_comment_lines_pinned(self, tmp_path, stub_provider):
+        config = tiny_config(
+            tmp_path,
+            levels=frozenset({5, 2}),
+            models=(ChainModel.ETHEREUM,),
+            families=("ML-DSA", "Dilithium"),
+            message_len=16,
+        )
+        assert run_pipeline(config) == 0
+        expected = [
+            "# runs=3",
+            "# warmup=1",
+            "# levels=2,5",
+            "# models=2",
+            "# runs_simulator=4",
+            "# seed=7",
+            "# message_len=16",
+            "# families=ML-DSA,Dilithium",
+        ]
+        # the next line is the column header, or the first model echo
+        for name, next_line in (
+            ("benchmark.csv", CSV_HEADER),
+            ("simulation.csv", "# ethereum.model=Ethereum"),
+        ):
+            lines = (config.output_dir / name).read_text(encoding="utf-8").splitlines()
+            assert lines[:9] == expected + [next_line]
+
     def test_simulation_csv_echoes_model_configs(self, tmp_path, stub_provider):
         config = tiny_config(tmp_path)
         run_pipeline(config)
@@ -377,6 +405,27 @@ class TestMain:
         )
         assert code == 1
         assert "fatal" in capsys.readouterr().err
+
+    def test_replay_from_two_machines_exits_1(self, tmp_path, stub_provider, capsys):
+        source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
+        run_pipeline(source)
+        rows = parse_csv(source.output_dir / "benchmark.csv").rows
+        mixed = tmp_path / "mixed.csv"
+        write_csv(
+            ReportDataset(
+                tuple(replace(row, machine=name) for name in ("host-a", "host-b") for row in rows)
+            ),
+            mixed,
+        )
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main(["--levels", "2", "--replay-benchmarks", str(mixed), "--output-dir", str(out)])
+        assert code == 1
+        fatal = [line for line in capsys.readouterr().err.splitlines() if "chainsig:" in line]
+        assert len(fatal) == 1
+        assert fatal[0].startswith("chainsig: fatal: ")
+        assert "'host-a'" in fatal[0] and "'host-b'" in fatal[0]
+        assert not (out / "benchmark.csv").exists()
 
     def test_small_stub_run_exits_0(self, tmp_path, stub_provider):
         code = main(

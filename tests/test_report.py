@@ -82,7 +82,7 @@ def sim_row(
     )
 
 
-def make_record(variant="P-256", env=None, stats=None):
+def make_record(variant="P-256", stats=None):
     descriptor = by_variant()[variant]
     keypair, sign, verify = stats or (
         StatSummary(0.0312, 0.0041, 10000),
@@ -91,7 +91,6 @@ def make_record(variant="P-256", env=None, stats=None):
     )
     return BenchmarkRecord(
         descriptor=descriptor,
-        environment=env,
         keypair_stat=keypair,
         sign_stat=sign,
         verify_stat=verify,
@@ -200,8 +199,8 @@ class TestDataset:
 
 
 class TestSynthesize:
-    def test_one_record_yields_three_rows(self, fake_environment):
-        dataset = synthesize([make_record(env=fake_environment)], [])
+    def test_one_record_yields_three_rows(self):
+        dataset = synthesize([make_record()], [], machine="test-cpu")
         assert len(dataset.rows) == 3
         operations = [row.operation for row in dataset.rows]
         assert operations == [Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY]
@@ -213,38 +212,22 @@ class TestSynthesize:
         assert verify.family == "ECDSA"
         assert verify.level == 1
 
-    def test_machine_override(self, fake_environment):
-        dataset = synthesize(
-            [make_record(env=fake_environment)], [], machine="named-host"
-        )
-        assert {row.machine for row in dataset.rows} == {"named-host"}
-
-    def test_sim_only_machine_defaults_to_unknown(self):
+    def test_machine_override(self):
         descriptor = by_variant()["P-256"]
         dataset = synthesize(
-            [], [(descriptor, ChainModel.BITCOIN, make_sim_result())]
-        )
-        assert len(dataset.rows) == 1
-        row = dataset.rows[0]
-        assert row.machine == "unknown"
-        assert row.stage is Stage.SIMULATION
-        assert row.model is ChainModel.BITCOIN
-        assert row.operation is Operation.VERIFY
-
-    def test_sim_rows_inherit_first_record_machine(self, fake_environment):
-        descriptor = by_variant()["P-256"]
-        dataset = synthesize(
-            [make_record(env=fake_environment)],
+            [make_record()],
             [(descriptor, ChainModel.ETHEREUM, make_sim_result(6.9448, 0.2, 1000))],
+            machine="named-host",
         )
         assert len(dataset.rows) == 4
-        assert dataset.rows[-1].machine == "test-cpu"
+        assert {row.machine for row in dataset.rows} == {"named-host"}
+        sim = dataset.rows[-1]
+        assert sim.stage is Stage.SIMULATION
+        assert sim.model is ChainModel.ETHEREUM
+        assert sim.operation is Operation.VERIFY
 
-    def test_full_shape(self, fake_environment):
-        records = [
-            make_record("P-256", env=fake_environment),
-            make_record("ML-DSA-87", env=fake_environment),
-        ]
+    def test_full_shape(self):
+        records = [make_record("P-256"), make_record("ML-DSA-87")]
         sims = [
             (records[0].descriptor, model, make_sim_result())
             for model in ChainModel
@@ -252,13 +235,13 @@ class TestSynthesize:
             (records[1].descriptor, model, make_sim_result(242.0, 4.0, 1000))
             for model in ChainModel
         ]
-        dataset = synthesize(records, sims)
+        dataset = synthesize(records, sims, machine="test-cpu")
         assert len(dataset.rows) == 2 * 3 + 4
 
-    def test_duplicate_records_rejected(self, fake_environment):
-        record = make_record(env=fake_environment)
+    def test_duplicate_records_rejected(self):
+        record = make_record()
         with pytest.raises(DuplicateRow):
-            synthesize([record, record], [])
+            synthesize([record, record], [], machine="test-cpu")
 
 
 class TestWriteCsv:

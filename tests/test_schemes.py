@@ -6,6 +6,7 @@ import ctypes.util
 import logging
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from chainsig.schemes import (
     get_provider,
     instantiate,
     oqs,
+    pqclean,
     registry,
 )
 from chainsig.schemes.base import Provider, SchemeInstance
@@ -376,11 +378,16 @@ class TestPqcleanFallback:
         assert instance.verify(pk, b"m", sig) is True
         assert instance.verify(pk, b"m", _flip_byte(sig)) is False
 
-    def test_dilithium_alias_roundtrip(self, monkeypatch):
-        monkeypatch.setenv("CHAINSIG_PROVIDER", "pqclean")
-        instance = instantiate_or_skip("Dilithium2")
-        pk, sk = instance.keypair()
-        assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
+    def test_dilithium_not_served_by_mldsa(self, monkeypatch):
+        # round-3 Dilithium is not FIPS 204 ML-DSA: refuse before importing
+        def no_import(name):
+            raise AssertionError(f"imported {name}")
+
+        provider = pqclean.PqcleanProvider()
+        monkeypatch.setattr(provider, "_import_error", None)
+        monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=no_import))
+        with pytest.raises(UnsupportedVariant, match="Dilithium2"):
+            provider.create(by_variant()["Dilithium2"])
 
 
 def test_provider_abc_defaults():
