@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import sys
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -264,8 +265,40 @@ def _emit_charts(
     return names
 
 
+def _elapsed(started: float) -> float:
+    return time.perf_counter() - started
+
+
 def run_pipeline(config: CliConfig) -> int:
     """Execute benchmark, simulation and reporting per config."""
+    # the host label of every row; no row carries it if no stage yields rows
+    machine = ""
+    replayed_from: dict | None = None
+    replaying = config.replay_benchmarks is not None
+    if replaying:
+        # a refused replay CSV fails before anything is created on disk
+        started = time.perf_counter()
+        replayed = parse_csv(config.replay_benchmarks)
+        machines = sorted({row.machine for row in replayed.rows})
+        if len(machines) > 1:
+            raise IoFailure(
+                f"{config.replay_benchmarks}: rows from {len(machines)} machines"
+                f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
+            )
+        if machines:
+            machine = machines[0]
+        replayed_from = {
+            "path": str(config.replay_benchmarks),
+            "sha256": hashlib.sha256(config.replay_benchmarks.read_bytes()).hexdigest(),
+            "machines": machines,
+        }
+        logger.info(
+            "replay: %d rows read from %s in %.2f s",
+            len(replayed.rows),
+            config.replay_benchmarks,
+            _elapsed(started),
+        )
+
     output_dir = config.output_dir
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -282,27 +315,9 @@ def run_pipeline(config: CliConfig) -> int:
     skipped: list[dict[str, str]] = []
     # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None
-    # the host label of every row; no row carries it if no stage yields rows
-    machine = ""
-    replayed_from: dict | None = None
     bench_dataset = ReportDataset(())
-    replaying = config.replay_benchmarks is not None
 
     if replaying:
-        replayed = parse_csv(config.replay_benchmarks)
-        machines = sorted({row.machine for row in replayed.rows})
-        if len(machines) > 1:
-            raise IoFailure(
-                f"{config.replay_benchmarks}: rows from {len(machines)} machines"
-                f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
-            )
-        if machines:
-            machine = machines[0]
-        replayed_from = {
-            "path": str(config.replay_benchmarks),
-            "sha256": hashlib.sha256(config.replay_benchmarks.read_bytes()).hexdigest(),
-            "machines": machines,
-        }
         bench_dataset = ReportDataset(
             tuple(
                 row
@@ -317,18 +332,22 @@ def run_pipeline(config: CliConfig) -> int:
                 logger.warning("skipping %s: %s", descriptor.variant, reason)
                 skipped.append({"variant": descriptor.variant, "reason": reason})
     elif not config.skip_benchmark:
+        started = time.perf_counter()
         environment = probe_environment()
         machine = environment.cpu_model
         logger.info(
-            "host: %s, timer resolution %.0f ns",
+            "host: %s, timer resolution %.0f ns, probed in %.2f s",
             environment.cpu_model,
             environment.timer_resolution_ns,
+            _elapsed(started),
         )
         plan = RunPlan(
             warmup=config.warmup, runs=config.runs, message_len=config.message_len
         )
         records: list[BenchmarkRecord] = []
-        for descriptor in selected:
+        started = time.perf_counter()
+        for done, descriptor in enumerate(selected, start=1):
+            variant_started = time.perf_counter()
             try:
                 instance = instantiate(descriptor)
             except UnsupportedVariant as exc:
@@ -340,10 +359,26 @@ def run_pipeline(config: CliConfig) -> int:
             except CorrectnessViolation as exc:
                 logger.warning("skipping %s: %s", descriptor.variant, exc)
                 skipped.append({"variant": descriptor.variant, "reason": str(exc)})
+                continue
+            logger.info(
+                "%s measured in %.2f s (%d/%d, ETA %.1f s)",
+                descriptor.variant,
+                _elapsed(variant_started),
+                done,
+                len(selected),
+                _elapsed(started) / done * (len(selected) - done),
+            )
+        logger.info(
+            "benchmark: %d of %d variants measured in %.2f s",
+            len(records),
+            len(selected),
+            _elapsed(started),
+        )
         bench_dataset = synthesize(records, [], machine=machine)
 
     outputs: list[str] = []
     if replaying or not config.skip_benchmark:
+        started = time.perf_counter()
         bench_csv = output_dir / "benchmark.csv"
         write_csv(bench_dataset, bench_csv, comments=_config_comments(config))
         outputs.append(bench_csv.name)
@@ -356,9 +391,11 @@ def run_pipeline(config: CliConfig) -> int:
                 output_dir,
             )
         )
+        logger.info("report: %d benchmark files written in %.2f s", len(outputs), _elapsed(started))
 
     sim_dataset = ReportDataset(())
     if not config.skip_simulation:
+        started = time.perf_counter()
         sim_configs = {
             model: replace(
                 default_config(model), runs=config.runs_simulator, seed=config.seed
@@ -374,7 +411,10 @@ def run_pipeline(config: CliConfig) -> int:
             for model, sim_config in sim_configs.items():
                 sims.append((descriptor, model, simulate_batch(sim_config, stat)))
         sim_dataset = synthesize([], sims, machine=machine)
+        logger.info("simulation: %d batches in %.2f s", len(sims), _elapsed(started))
 
+        started = time.perf_counter()
+        written = len(outputs)
         sim_comments = _config_comments(config)
         for model, sim_config in sim_configs.items():
             prefix = model.label.lower()
@@ -394,6 +434,11 @@ def run_pipeline(config: CliConfig) -> int:
                     output_dir,
                 )
             )
+        logger.info(
+            "report: %d simulation files written in %.2f s",
+            len(outputs) - written,
+            _elapsed(started),
+        )
 
     manifest = {
         "config": config.to_dict(),

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .bench import BenchmarkRecord
 from .errors import DuplicateRow, EmptySelection, IoFailure
@@ -339,8 +338,13 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(value: str) -> str:
+    """SVG text content: `&` first, so the entities added after stay intact."""
+    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    return _escape(value).replace('"', "&quot;")
 
 
 def render_bar_chart(
@@ -422,7 +426,7 @@ def render_bar_chart(
         f' viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{_fmt(width / 2)}" y="30" font-size="16" text-anchor="middle">'
-        f"{escape(spec.title)}</text>",
+        f"{_escape(spec.title)}</text>",
         f'<text x="18" y="{_fmt(top + plot_h / 2)}" font-size="12" text-anchor="middle"'
         f' transform="rotate(-90 18 {_fmt(top + plot_h / 2)})">time (ms)</text>',
     ]
@@ -481,7 +485,7 @@ def render_bar_chart(
         parts.append(
             f'<text x="{_fmt(center_x)}" y="{_fmt(label_y)}" font-size="11"'
             f' text-anchor="end" transform="rotate(-35 {_fmt(center_x)}'
-            f' {_fmt(label_y)})">{escape(variant)}</text>'
+            f' {_fmt(label_y)})">{_escape(variant)}</text>'
         )
 
     legend_x = width - right - 150

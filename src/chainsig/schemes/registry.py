@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import logging
 import os
 from typing import TYPE_CHECKING
 
 from ..errors import UnsupportedVariant
 from .base import Provider, SchemeInstance
-from .ecdsa import EcdsaProvider
-from .oqs import OqsProvider
-from .pqclean import PqcleanProvider
-from .stub import StubProvider
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
@@ -22,11 +19,14 @@ logger = logging.getLogger(__name__)
 #: set this to a provider name to force every variant onto one backend
 PROVIDER_ENV = "CHAINSIG_PROVIDER"
 
-_PROVIDERS: dict[str, type[Provider]] = {
-    "ecdsa": EcdsaProvider,
-    "oqs": OqsProvider,
-    "pqclean": PqcleanProvider,
-    "stub": StubProvider,
+# name -> (module in this package, provider class). A backend module is
+# imported on the first get_provider call for its name, so a run that
+# never asks for ECDSA or liboqs never loads `cryptography` or the liboqs binding.
+_PROVIDERS: dict[str, tuple[str, str]] = {
+    "ecdsa": ("ecdsa", "EcdsaProvider"),
+    "oqs": ("oqs", "OqsProvider"),
+    "pqclean": ("pqclean", "PqcleanProvider"),
+    "stub": ("stub", "StubProvider"),
 }
 
 # post-quantum variants are tried in preference order: liboqs first
@@ -36,11 +36,13 @@ _PQC_CANDIDATES = ("oqs", "pqclean")
 
 @functools.cache
 def get_provider(name: str) -> Provider:
-    """Return the provider registered under name, built once per process."""
-    factory = _PROVIDERS.get(name)
-    if factory is None:
+    """Return the provider registered under name, imported and built once per process."""
+    entry = _PROVIDERS.get(name)
+    if entry is None:
         raise UnsupportedVariant(f"no provider registered under {name!r}")
-    return factory()
+    module_name, class_name = entry
+    module = importlib.import_module(f".{module_name}", __package__)
+    return getattr(module, class_name)()
 
 
 def _candidates(descriptor: "VariantDescriptor") -> tuple[str, ...]:

@@ -14,6 +14,11 @@ independent per-block draws. block_interval_s is kept in the config and
 echoed into the CSV headers as a description of the network profile; it
 does not change the result.
 
+The draws depend on the config alone, not on the verify statistic: every
+variant simulated under one config sees the same transaction counts and
+the same standard-normal draws (common random numbers), so differences
+between variants are not sampling noise.
+
 Network propagation, forks and incentives are out of scope: block
 production is a fixed schedule and verification cost is the only
 quantity modeled.
@@ -22,6 +27,7 @@ quantity modeled.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,25 +117,42 @@ def default_config(model: ChainModel | int) -> SimulationConfig:
     )
 
 
-def simulate_batch(
-    config: SimulationConfig, verify_stat: StatSummary
-) -> SimulationResult:
-    """config.runs independent runs; batch stats over per-run means.
+@functools.lru_cache(maxsize=len(ChainModel))
+def _draws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """(transaction counts, standard normals) for config, drawn once and read-only.
 
-    All draws come from one generator seeded with config.seed, as arrays
-    of shape (runs, blocks_per_run): transaction counts first, then the
-    per-signature costs.
+    Both arrays have shape (runs, blocks_per_run) and come from one
+    generator seeded with config.seed, the counts first. The normals are
+    None in mean-only mode. A run simulates every verify row under the
+    same config, so the cache holds one entry per chain model.
     """
     sequence = np.random.SeedSequence(config.seed & _SEED_MASK)
     rng = np.random.Generator(np.random.PCG64(sequence))
     shape = (config.runs, config.blocks_per_run)
     tx_counts = rng.poisson(config.tx_per_block_mean, shape)
+    tx_counts.flags.writeable = False
     if config.verify_sampling is VerifySampling.MEAN_ONLY:
+        return tx_counts, None
+    z = rng.standard_normal(shape)
+    z.flags.writeable = False
+    return tx_counts, z
+
+
+def simulate_batch(
+    config: SimulationConfig, verify_stat: StatSummary
+) -> SimulationResult:
+    """config.runs independent runs; batch stats over per-run means.
+
+    Every call with an equal config reuses the same transaction counts
+    and standard normals (common random numbers); a per-signature cost is
+    max(mean + std * z, 0), which equals the clamped Normal(mean, std) draw
+    from the same generator bit for bit.
+    """
+    tx_counts, z = _draws(config)
+    if z is None:
         per_signature_ms = verify_stat.mean_ms
     else:
-        per_signature_ms = np.maximum(
-            rng.normal(verify_stat.mean_ms, verify_stat.std_ms, shape), 0.0
-        )
+        per_signature_ms = np.maximum(verify_stat.mean_ms + verify_stat.std_ms * z, 0.0)
     run_means = tuple((tx_counts * per_signature_ms).mean(axis=1).tolist())
     return SimulationResult(run_means_ms=run_means, batch=summarize(run_means))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -277,6 +278,36 @@ class TestRunPipeline:
         simulation = parse_csv(config.output_dir / "simulation.csv")
         assert simulation.rows == ()
 
+    def test_progress_lines(self, tmp_path, stub_provider, caplog):
+        caplog.set_level(logging.INFO, logger="chainsig.cli")
+        assert run_pipeline(tiny_config(tmp_path)) == 0
+        lines = [record.getMessage() for record in caplog.records if record.name == "chainsig.cli"]
+        seconds = r"\d+\.\d\d s"
+        patterns = [
+            rf"host: .+, timer resolution \d+ ns, probed in {seconds}",
+            rf"ML-DSA-44 measured in {seconds} \(1/2, ETA \d+\.\d s\)",
+            rf"Dilithium2 measured in {seconds} \(2/2, ETA 0\.0 s\)",
+            rf"benchmark: 2 of 2 variants measured in {seconds}",
+            rf"report: 2 benchmark files written in {seconds}",
+            rf"simulation: 4 batches in {seconds}",
+            rf"report: 3 simulation files written in {seconds}",
+        ]
+        assert len(lines) == len(patterns)
+        for line, pattern in zip(lines, patterns):
+            assert re.fullmatch(pattern, line), line
+
+    def test_replay_logs_its_read(self, tmp_path, stub_provider, caplog):
+        source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
+        run_pipeline(source)
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="chainsig.cli")
+        replay = source.output_dir / "benchmark.csv"
+        run_pipeline(tiny_config(tmp_path, replay_benchmarks=replay, skip_simulation=True))
+        assert re.fullmatch(
+            rf"replay: 6 rows read from {re.escape(str(replay))} in \d+\.\d\d s",
+            caplog.records[0].getMessage(),
+        )
+
     def test_skip_simulation(self, tmp_path, stub_provider):
         config = tiny_config(tmp_path, skip_simulation=True)
         assert run_pipeline(config) == 0
@@ -405,6 +436,7 @@ class TestMain:
         )
         assert code == 1
         assert "fatal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_replay_from_two_machines_exits_1(self, tmp_path, stub_provider, capsys):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
@@ -425,7 +457,7 @@ class TestMain:
         assert len(fatal) == 1
         assert fatal[0].startswith("chainsig: fatal: ")
         assert "'host-a'" in fatal[0] and "'host-b'" in fatal[0]
-        assert not (out / "benchmark.csv").exists()
+        assert not out.exists()
 
     def test_small_stub_run_exits_0(self, tmp_path, stub_provider):
         code = main(

@@ -14,6 +14,8 @@ from chainsig.bench import BenchmarkRecord, StatSummary
 from chainsig.errors import DuplicateRow, EmptySelection, IoFailure
 from chainsig.report import (
     CSV_HEADER,
+    _attr,
+    _escape,
     ChartSpec,
     LevelGroup,
     Operation,
@@ -646,6 +648,26 @@ class TestRenderBarChart:
             buffer,
         )
         assert 'data-variant="Falcon-512"' in buffer.getvalue()
+
+
+class TestEscape:
+    # xml.sax.saxutils is the independent oracle; the package does not import it
+    TEXTS = (
+        "",
+        "P-256",
+        "a & b < c > d",
+        'say "hi" & \'bye\'',
+        "&amp; &lt;x&gt; &quot; &#38;",
+        "<<&&>>",
+        "Grüße, 署名 ✓ & <é>",
+    )
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert _escape(text) == escape(text)
+        assert _attr(text) == escape(text, {'"': "&quot;"})
 
 
 class TestChartSpec:

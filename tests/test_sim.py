@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from chainsig import sim
 from chainsig.bench import StatSummary
 from chainsig.errors import UnknownModel
 from chainsig.sim import (
@@ -262,6 +264,48 @@ class TestClosedFormOracle:
         )
         # 10% is about 4.5 standard errors of a sample sd at n = 1000
         assert abs(result.batch.std_ms - expected_sd) <= 0.10 * expected_sd
+
+
+def _fresh_generator_run_means(config: SimulationConfig, stat: StatSummary) -> tuple:
+    """Reference: one new generator per batch, costs drawn with rng.normal(mean, std)."""
+    sequence = np.random.SeedSequence(config.seed & ((1 << 64) - 1))
+    rng = np.random.Generator(np.random.PCG64(sequence))
+    shape = (config.runs, config.blocks_per_run)
+    tx_counts = rng.poisson(config.tx_per_block_mean, shape)
+    if config.verify_sampling is VerifySampling.MEAN_ONLY:
+        cost = stat.mean_ms
+    else:
+        cost = np.maximum(rng.normal(stat.mean_ms, stat.std_ms, shape), 0.0)
+    return tuple((tx_counts * cost).mean(axis=1).tolist())
+
+
+class TestSharedDraws:
+    # the last stat draws many negative costs, so the clamp is exercised
+    STATS = (_stat(0.0788, 0.0029), _stat(1.5, 0.4), _stat(3.0, 0.0), _stat(0.01, 0.02))
+
+    @pytest.mark.parametrize("sampling", list(VerifySampling))
+    @pytest.mark.parametrize("seed", [0, -3, 2**70])
+    def test_equals_fresh_generator_per_batch(self, sampling, seed):
+        sim._draws.cache_clear()
+        configs = [
+            replace(default_config(model), runs=50, seed=seed, verify_sampling=sampling)
+            for model in ChainModel
+        ]
+        # stats share each config, and the two models interleave
+        for stat in self.STATS:
+            for config in configs:
+                assert simulate_batch(config, stat).run_means_ms == (
+                    _fresh_generator_run_means(config, stat)
+                )
+
+    def test_cached_draws_are_read_only(self):
+        config = replace(default_config(ChainModel.ETHEREUM), runs=5)
+        tx_counts, z = sim._draws(config)
+        for array in (tx_counts, z):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        mean_only = replace(config, verify_sampling=VerifySampling.MEAN_ONLY)
+        assert sim._draws(mean_only)[1] is None
 
 
 class TestConfigEcho:
