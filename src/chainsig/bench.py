@@ -13,7 +13,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .schemes import SchemeInstance
 VERIFY_POOL_SIZE = 128
 
 _RESOLUTION_PAIRS = 1_000_000
+#: the timer probe stops after this many positive deltas
+_RESOLUTION_DELTAS = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,25 @@ class BenchmarkRecord:
 def measure_timer_resolution(pairs: int = _RESOLUTION_PAIRS) -> float:
     """Smallest positive delta between consecutive clock readings, in ns.
 
-    Scans at least 10^6 read pairs by default; the result reflects the
-    effective granularity of timed intervals (clock quantum plus the
-    cost of a reading).
+    Reads the clock until it has seen 10^4 positive deltas, or until
+    pairs read pairs (10^6 by default) when the clock is coarser; more
+    deltas do not move the minimum. The result reflects the effective
+    granularity of timed intervals (clock quantum plus the cost of a
+    reading). Raises ClockUnavailable when the clock never advanced.
     """
     clock = time.perf_counter_ns
     best = None
+    wanted = _RESOLUTION_DELTAS
     previous = clock()
-    for _ in range(pairs):
+    for _ in itertools.repeat(None, pairs):
         current = clock()
         delta = current - previous
-        if delta > 0 and (best is None or delta < best):
-            best = delta
+        if delta > 0:
+            if best is None or delta < best:
+                best = delta
+            wanted -= 1
+            if not wanted:
+                break
         previous = current
     if best is None:
         raise ClockUnavailable(f"clock never advanced over {pairs} read pairs")
@@ -101,28 +110,33 @@ def time_operation(
 
     With setup given, each invocation receives setup()'s result as its
     single argument; setup executes outside the timed window. Failures
-    during warm-up abort before any measurement is taken.
+    during warm-up abort before any measurement is taken. Durations are
+    kept as integer ns and converted to ms once, after the last run.
     """
     clock = time.perf_counter_ns
-    samples: list[float] = []
+    deltas: list[float] = []
+    record = deltas.append
     if setup is None:
-        for _ in range(plan.warmup):
+        for _ in itertools.repeat(None, plan.warmup):
             op()
-        for _ in range(plan.runs):
+        for _ in itertools.repeat(None, plan.runs):
             start = clock()
             op()
             end = clock()
-            samples.append((end - start) / 1e6)
+            record(end - start)
     else:
-        for _ in range(plan.warmup):
+        for _ in itertools.repeat(None, plan.warmup):
             op(setup())
-        for _ in range(plan.runs):
+        for _ in itertools.repeat(None, plan.runs):
             argument = setup()
             start = clock()
             op(argument)
             end = clock()
-            samples.append((end - start) / 1e6)
-    return samples
+            record(end - start)
+    # in place, so a list of ints and a list of floats are never held at once
+    for index, delta in enumerate(deltas):
+        deltas[index] = delta / 1e6
+    return deltas
 
 
 def summarize(samples: Iterable[float]) -> StatSummary:
@@ -133,6 +147,18 @@ def summarize(samples: Iterable[float]) -> StatSummary:
     mean = float(array.mean())
     std = float(array.std(ddof=1)) if array.size > 1 else 0.0
     return StatSummary(mean_ms=mean, std_ms=std, n=int(array.size))
+
+
+def _random_messages(count: int, size: int) -> Iterator[bytes]:
+    """count random messages of size bytes, cut from one os.urandom block.
+
+    The block holds count * size bytes; each message is copied out of it
+    only when the iterator reaches it.
+    """
+    total = count * size
+    block = os.urandom(total)
+    starts = range(0, total, size)
+    return map(block.__getitem__, map(slice, starts, itertools.count(size, size)))
 
 
 def benchmark_variant(
@@ -156,13 +182,11 @@ def benchmark_variant(
     sign_samples = time_operation(
         lambda message: instance.sign(secret_key, message),
         plan,
-        setup=lambda: os.urandom(plan.message_len),
+        setup=_random_messages(plan.warmup + plan.runs, plan.message_len).__next__,
     )
 
-    pool = []
-    for _ in range(min(plan.runs, VERIFY_POOL_SIZE)):
-        message = os.urandom(plan.message_len)
-        pool.append((message, instance.sign(secret_key, message)))
+    pool_messages = _random_messages(min(plan.runs, VERIFY_POOL_SIZE), plan.message_len)
+    pool = [(message, instance.sign(secret_key, message)) for message in pool_messages]
     pairs = itertools.cycle(pool)
 
     def checked_verify(pair: tuple[bytes, bytes]) -> None:
@@ -173,7 +197,7 @@ def benchmark_variant(
                 " returned false"
             )
 
-    verify_samples = time_operation(checked_verify, plan, setup=lambda: next(pairs))
+    verify_samples = time_operation(checked_verify, plan, setup=pairs.__next__)
 
     return BenchmarkRecord(
         descriptor=instance.descriptor,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -269,6 +270,19 @@ def _elapsed(started: float) -> float:
     return time.perf_counter() - started
 
 
+def _read_replay(path: Path) -> tuple[ReportDataset, str]:
+    """A replay CSV's rows and the sha256 of the bytes they were parsed from.
+
+    The file is read once and decoded as Path.read_text decodes it.
+    """
+    try:
+        data = path.read_bytes()
+        dataset = parse_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return dataset, hashlib.sha256(data).hexdigest()
+
+
 def run_pipeline(config: CliConfig) -> int:
     """Execute benchmark, simulation and reporting per config."""
     # the host label of every row; no row carries it if no stage yields rows
@@ -278,7 +292,7 @@ def run_pipeline(config: CliConfig) -> int:
     if replaying:
         # a refused replay CSV fails before anything is created on disk
         started = time.perf_counter()
-        replayed = parse_csv(config.replay_benchmarks)
+        replayed, sha256 = _read_replay(config.replay_benchmarks)
         machines = sorted({row.machine for row in replayed.rows})
         if len(machines) > 1:
             raise IoFailure(
@@ -289,7 +303,7 @@ def run_pipeline(config: CliConfig) -> int:
             machine = machines[0]
         replayed_from = {
             "path": str(config.replay_benchmarks),
-            "sha256": hashlib.sha256(config.replay_benchmarks.read_bytes()).hexdigest(),
+            "sha256": sha256,
             "machines": machines,
         }
         logger.info(

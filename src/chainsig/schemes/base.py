@@ -92,10 +92,6 @@ class Provider(abc.ABC):
     """A backend family that can serve some subset of the catalog."""
 
     @abc.abstractmethod
-    def available(self) -> bool:
-        """Whether the backing library is importable/loadable on this host."""
-
-    @abc.abstractmethod
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         """Build a backend for descriptor.
 

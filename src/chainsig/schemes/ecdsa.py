@@ -89,11 +89,8 @@ class EcdsaBackend(SchemeBackend):
 
 
 class EcdsaProvider(Provider):
-    def available(self) -> bool:
-        return _IMPORT_ERROR is None
-
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if not self.available():
+        if _IMPORT_ERROR is not None:
             raise UnsupportedVariant(f"cryptography not importable: {_IMPORT_ERROR}")
         pairing = _CURVES.get(descriptor.variant)
         if pairing is None:

@@ -332,6 +332,7 @@ class OqsProvider(Provider):
         return self._load()
 
     def available(self) -> bool:
+        """Whether liboqs loads on this host; benchmark provenance records it."""
         return self._load() is not None
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:

@@ -83,10 +83,11 @@ class PqcleanProvider(Provider):
         self._import_error = _probe()
 
     def available(self) -> bool:
+        """Whether pqcrypto imports on this host; benchmark provenance records it."""
         return self._import_error is None
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if not self.available():
+        if self._import_error is not None:
             raise UnsupportedVariant(f"pqcrypto not importable: {self._import_error}")
         module_name = _MODULES.get(descriptor.variant)
         if module_name is None:

@@ -69,9 +69,6 @@ class BrokenStubBackend(StubBackend):
 
 
 class StubProvider(Provider):
-    def available(self) -> bool:
-        return True
-
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not descriptor.variant:
             raise UnsupportedVariant("stub: descriptor has no variant name")

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainsig.bench import (
+    VERIFY_POOL_SIZE,
     BenchmarkRecord,
     RunPlan,
     StatSummary,
@@ -18,15 +19,68 @@ from chainsig.bench import (
     summarize,
     time_operation,
 )
-from chainsig.errors import CorrectnessViolation, EmptySamples
+from chainsig.errors import ClockUnavailable, CorrectnessViolation, EmptySamples
 from chainsig.schemes.base import SchemeInstance
-from chainsig.schemes.stub import BrokenStubBackend
+from chainsig.schemes.stub import BrokenStubBackend, StubBackend
 from conftest import (
     close,
     make_stub_descriptor,
     make_stub_instance,
     two_pass_mean_std,
 )
+
+
+class FakeClock:
+    """A perf_counter_ns stand-in that counts its reads.
+
+    Read k (from 0) returns reading(k), or `now` when no reading is
+    given, so a test can move the clock from inside op or setup.
+    """
+
+    def __init__(self, reading=None):
+        self.reading = reading
+        self.now = 0
+        self.reads = 0
+        self.values = []
+
+    def __call__(self):
+        value = self.now if self.reading is None else self.reading(self.reads)
+        self.reads += 1
+        self.values.append(value)
+        return value
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    def install(reading=None):
+        clock = FakeClock(reading)
+        monkeypatch.setattr("chainsig.bench.time.perf_counter_ns", clock)
+        return clock
+
+    return install
+
+
+class RecordingBackend(StubBackend):
+    """Stub that keeps every message it signs and every pair it verifies.
+
+    With fail_verify_at=k, the k-th verify call (from 1) returns false.
+    """
+
+    def __init__(self, fail_verify_at=None):
+        super().__init__()
+        self.signed = []
+        self.verified = []
+        self.fail_verify_at = fail_verify_at
+
+    def sign(self, secret_key, message):
+        self.signed.append(message)
+        return super().sign(secret_key, message)
+
+    def verify(self, public_key, message, signature):
+        self.verified.append((message, signature))
+        if len(self.verified) == self.fail_verify_at:
+            return False
+        return super().verify(public_key, message, signature)
 
 
 class TestSummarize:
@@ -147,6 +201,29 @@ class TestTimeOperation:
         assert fast_mean >= 0.2
         assert slow_mean >= 0.6
 
+    def test_samples_are_ns_deltas_in_ms_bit_for_bit(self, fake_clock):
+        clock = fake_clock(lambda k: 10**12 + k * 1_234_567 + (k * k) % 997)
+        plan = RunPlan(warmup=4, runs=300)
+        samples = time_operation(lambda: None, plan)
+        # warm-up reads no clock; each measured run reads it twice
+        assert clock.reads == 2 * plan.runs
+        starts, ends = clock.values[0::2], clock.values[1::2]
+        expected = [(end - start) / 1e6 for start, end in zip(starts, ends)]
+        assert [value.hex() for value in samples] == [value.hex() for value in expected]
+
+    def test_setup_time_never_reaches_a_sample(self, fake_clock):
+        clock = fake_clock()
+
+        def setup():
+            clock.now += 10**9
+            return 1_000
+
+        def op(cost):
+            clock.now += cost
+
+        samples = time_operation(op, RunPlan(warmup=2, runs=50), setup=setup)
+        assert samples == [0.001] * 50
+
 
 def _now_ns():
     import time
@@ -164,6 +241,26 @@ class TestTimerResolution:
         first = measure_timer_resolution(pairs=200_000)
         second = measure_timer_resolution(pairs=200_000)
         assert max(first, second) / min(first, second) < 10.0
+
+    def test_stops_after_ten_thousand_positive_deltas(self, fake_clock):
+        clock = fake_clock(lambda k: k)
+        assert measure_timer_resolution() == 1.0
+        # the first reading, then one per positive delta
+        assert clock.reads == 10**4 + 1
+
+    def test_coarse_clock_is_still_measured(self, fake_clock):
+        clock = fake_clock(lambda k: k // 40 * 250)
+        assert measure_timer_resolution() == 250.0
+        assert clock.reads == 40 * 10**4 + 1
+
+    def test_frozen_clock_raises_after_pairs_read_pairs(self, fake_clock):
+        clock = fake_clock(lambda k: 5)
+        with pytest.raises(
+            ClockUnavailable, match=r"^clock never advanced over 1000 read pairs$"
+        ):
+            measure_timer_resolution(pairs=1000)
+        # the first reading, then one per read pair
+        assert clock.reads == 1000 + 1
 
 
 class TestProbeEnvironment:
@@ -207,6 +304,32 @@ class TestBenchmarkVariant:
         plan = RunPlan(warmup=1, runs=5)
         with pytest.raises(CorrectnessViolation, match="returned false"):
             benchmark_variant(instance, plan)
+
+    @pytest.mark.parametrize("runs", [50, 300])
+    def test_sign_messages_and_verify_pool(self, runs):
+        backend = RecordingBackend()
+        plan = RunPlan(warmup=7, runs=runs, message_len=24)
+        benchmark_variant(SchemeInstance(make_stub_descriptor(), backend), plan)
+        timed = plan.warmup + plan.runs
+        pool_size = min(runs, VERIFY_POOL_SIZE)
+        # sign is timed over warmup + runs fresh messages, then signs the pool
+        assert len(backend.signed) == timed + pool_size
+        assert all(type(message) is bytes and len(message) == 24 for message in backend.signed)
+        assert len(set(backend.signed[:timed])) == timed
+        pool = backend.signed[timed:]
+        assert len(backend.verified) == timed
+        assert len(set(backend.verified)) == pool_size
+        assert {message for message, _ in backend.verified} == set(pool)
+
+    def test_false_verify_in_a_measured_run_is_rejected(self):
+        plan = RunPlan(warmup=3, runs=40)
+        backend = RecordingBackend(fail_verify_at=plan.warmup + 20)
+        with pytest.raises(
+            CorrectnessViolation,
+            match="Stub-A: verification of a freshly produced signature returned false",
+        ):
+            benchmark_variant(SchemeInstance(make_stub_descriptor(), backend), plan)
+        assert len(backend.verified) == plan.warmup + 20
 
     def test_host_is_not_probed(self, monkeypatch):
         def no_probe(*args, **kwargs):

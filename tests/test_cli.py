@@ -438,6 +438,17 @@ class TestMain:
         assert "fatal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_utf8_replay_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe# bad\n")
+        out = tmp_path / "out"
+        code = main(["--skip-benchmark", "--replay-benchmarks", str(bad), "--output-dir", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"chainsig: fatal: cannot read {bad}: ")
+        assert not out.exists()
+
     def test_replay_from_two_machines_exits_1(self, tmp_path, stub_provider, capsys):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
         run_pipeline(source)

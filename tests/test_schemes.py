@@ -391,14 +391,12 @@ class TestPqcleanFallback:
 
 
 def test_provider_abc_defaults():
-    # available() and create() are the whole interface
-    assert Provider.__abstractmethods__ == {"available", "create"}
+    # create() is the whole interface
+    assert Provider.__abstractmethods__ == {"create"}
 
     class Minimal(Provider):
-        def available(self):
-            return False
-
         def create(self, descriptor):
             raise UnsupportedVariant("minimal supports nothing")
 
-    assert Minimal().available() is False
+    with pytest.raises(UnsupportedVariant, match="minimal supports nothing"):
+        Minimal().create(by_variant()["P-256"])
