@@ -230,12 +230,12 @@ def _memory_bytes() -> int:
             return 0
 
 
-def probe_environment(resolution_pairs: int = _RESOLUTION_PAIRS) -> EnvironmentInfo:
+def probe_environment() -> EnvironmentInfo:
     """Best-effort host introspection; unknown fields degrade gracefully."""
     return EnvironmentInfo(
         cpu_model=_cpu_model(),
         memory_bytes=_memory_bytes(),
         os_descriptor=platform.platform(),
-        timer_resolution_ns=measure_timer_resolution(resolution_pairs),
+        timer_resolution_ns=measure_timer_resolution(),
     )
 

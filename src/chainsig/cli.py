@@ -28,14 +28,12 @@ from .bench import (
 )
 from .errors import ChainsigError, CorrectnessViolation, IoFailure, UnsupportedVariant, UsageError
 from .report import (
-    ChartSpec,
     LevelGroup,
     Operation,
     ReportDataset,
     Stage,
     level_group,
     parse_csv,
-    recommended_log_scale,
     render_bar_chart,
     synthesize,
     write_csv,
@@ -48,12 +46,6 @@ from .sim import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_LEVELS = frozenset({1, 2, 3, 5})
-
-_GROUP_SLUGS = (
-    (LevelGroup.LOWER, "lower"),
-    (LevelGroup.LEVEL3, "level3"),
-    (LevelGroup.LEVEL5, "level5"),
-)
 
 #: settings echoed as `# name=value` lines at the top of each CSV; output
 #: and input paths are left out so reruns with identical measurement
@@ -250,18 +242,13 @@ def _emit_charts(
     output_dir: Path,
 ) -> list[str]:
     names = []
-    for group, slug in _GROUP_SLUGS:
-        rows = [row for row in dataset.rows if level_group(row.level) is group]
-        if not rows:
+    for group in LevelGroup:
+        if not any(level_group(row.level) is group for row in dataset.rows):
             continue
-        spec = ChartSpec(
-            title=f"{title_prefix}, {group.value}",
-            level_group=group,
-            series=series,
-            log_scale=recommended_log_scale(rows),
+        name = f"{slug_prefix}_{group.name.lower()}.svg"
+        render_bar_chart(
+            dataset, f"{title_prefix}, {group.value}", group, series, output_dir / name
         )
-        name = f"{slug_prefix}_{slug}.svg"
-        render_bar_chart(dataset, spec, output_dir / name)
         names.append(name)
     return names
 
@@ -277,10 +264,10 @@ def _read_replay(path: Path) -> tuple[ReportDataset, str]:
     """
     try:
         data = path.read_bytes()
-        dataset = parse_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return dataset, hashlib.sha256(data).hexdigest()
+    return parse_csv(io.StringIO(text)), hashlib.sha256(data).hexdigest()
 
 
 def run_pipeline(config: CliConfig) -> int:

@@ -54,6 +54,9 @@ _LEVEL_GROUPS = {
 
 _MODEL_LABELS = {model.label: model for model in ChainModel}
 
+_CHART_WIDTH = 960
+_CHART_HEIGHT = 540
+
 _OP_COLORS = {
     Operation.KEYPAIR: "#4c72b0",
     Operation.SIGN: "#dd8452",
@@ -145,17 +148,8 @@ class ReportDataset:
                 raise DuplicateRow(f"duplicate result row for {row.key}")
             seen.add(row.key)
 
-    def filter(
-        self,
-        stage: Stage | None = None,
-        model: ChainModel | None = None,
-    ) -> "ReportDataset":
-        rows = self.rows
-        if stage is not None:
-            rows = tuple(row for row in rows if row.stage is stage)
-        if model is not None:
-            rows = tuple(row for row in rows if row.model is model)
-        return ReportDataset(rows)
+    def filter(self, model: ChainModel) -> "ReportDataset":
+        return ReportDataset(tuple(row for row in self.rows if row.model is model))
 
 
 def synthesize(
@@ -266,7 +260,7 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
             text = source.read()
         else:
             text = Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
     lines = text.split("\n")
     index = 0
@@ -301,28 +295,6 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
     return ReportDataset(tuple(rows))
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    title: str
-    level_group: LevelGroup
-    series: tuple[Operation, ...]
-    log_scale: bool = False
-    width: int = 960
-    height: int = 540
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise ValueError("series must name at least one operation")
-        if self.width < 320 or self.height < 240:
-            raise ValueError("chart dimensions too small")
-
-
-def recommended_log_scale(rows: Iterable[ReportRow]) -> bool:
-    """True when the positive means span more than two decades."""
-    means = [row.mean_ms for row in rows if row.mean_ms > 0]
-    return len(means) >= 2 and max(means) / min(means) > 100
-
-
 def _nice_step(raw: float) -> float:
     if raw <= 0:
         return 1.0
@@ -349,22 +321,26 @@ def _attr(value: str) -> str:
 
 def render_bar_chart(
     dataset: ReportDataset,
-    spec: ChartSpec,
+    title: str,
+    group: LevelGroup,
+    series: tuple[Operation, ...],
     destination: str | Path | IO[str],
 ) -> int:
-    """Grouped bar chart: one group per variant, one bar per operation.
+    """Bar chart of one level group: a cluster per variant, a bar per operation.
 
-    Error bars span mean +/- std. Returns the byte count written.
+    Error bars span mean +/- std. The value axis is logarithmic when at
+    least two of the drawn means are positive and the largest of those is
+    more than 100 times the smallest; otherwise it is linear from zero.
+    Returns the byte count written.
     """
     rows = [
         row
         for row in dataset.rows
-        if level_group(row.level) is spec.level_group and row.operation in spec.series
+        if level_group(row.level) is group and row.operation in series
     ]
     if not rows:
         raise EmptySelection(
-            f"no rows in {spec.level_group.value!r} for series"
-            f" {[op.value for op in spec.series]}"
+            f"no rows in {group.value!r} for series {[op.value for op in series]}"
         )
     values: dict[tuple[str, Operation], ReportRow] = {}
     for row in rows:
@@ -386,7 +362,7 @@ def render_bar_chart(
         if row.variant not in variants:
             variants.append(row.variant)
 
-    width, height = spec.width, spec.height
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 80, 24, 56, 120
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -394,12 +370,10 @@ def render_bar_chart(
 
     positive = [row.mean_ms for row in rows if row.mean_ms > 0]
     highest = max(row.mean_ms + row.std_ms for row in rows)
-    use_log = spec.log_scale and bool(positive)
-    if use_log:
+    # a spread above 100 needs two positive means and puts two decades between them
+    if positive and max(positive) / min(positive) > 100:
         lo_exp = math.floor(math.log10(min(positive) * 0.9))
-        hi_exp = math.ceil(math.log10(max(highest, min(positive)) * 1.1))
-        if hi_exp <= lo_exp:
-            hi_exp = lo_exp + 1
+        hi_exp = math.ceil(math.log10(highest * 1.1))
         axis_lo = 10.0**lo_exp
         axis_hi = 10.0**hi_exp
 
@@ -426,7 +400,7 @@ def render_bar_chart(
         f' viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{_fmt(width / 2)}" y="30" font-size="16" text-anchor="middle">'
-        f"{_escape(spec.title)}</text>",
+        f"{_escape(title)}</text>",
         f'<text x="18" y="{_fmt(top + plot_h / 2)}" font-size="12" text-anchor="middle"'
         f' transform="rotate(-90 18 {_fmt(top + plot_h / 2)})">time (ms)</text>',
     ]
@@ -450,11 +424,11 @@ def render_bar_chart(
     )
 
     group_w = plot_w / len(variants)
-    bar_w = group_w * 0.72 / len(spec.series)
+    bar_w = group_w * 0.72 / len(series)
     for group_index, variant in enumerate(variants):
         group_left = left + group_index * group_w + group_w * 0.14
         center_x = left + (group_index + 0.5) * group_w
-        for series_index, operation in enumerate(spec.series):
+        for series_index, operation in enumerate(series):
             row = values.get((variant, operation))
             if row is None:
                 continue
@@ -490,7 +464,7 @@ def render_bar_chart(
 
     legend_x = width - right - 150
     legend_y = top - 38
-    for index, operation in enumerate(spec.series):
+    for index, operation in enumerate(series):
         item_y = legend_y + index * 16
         parts.append(
             f'<rect x="{legend_x}" y="{item_y}" width="12" height="12"'

@@ -10,9 +10,10 @@ The model can be read as a discrete-event schedule: blocks arrive at
 exponentially spaced instants and are verified on arrival. Verification
 never delays the creation of the next block, though, so the order of
 events cannot change any block's cost, and the schedule reduces to
-independent per-block draws. block_interval_s is kept in the config and
-echoed into the CSV headers as a description of the network profile; it
-does not change the result.
+independent per-block draws. The mean block interval is therefore a
+per-model constant, not a config field: config_echo writes it into the
+CSV headers as a description of the network profile, and it does not
+change the result.
 
 The draws depend on the config alone, not on the verify statistic: every
 variant simulated under one config sees the same transaction counts and
@@ -66,7 +67,6 @@ class SimulationConfig:
     model: ChainModel
     tx_per_block_mean: float
     blocks_per_run: int
-    block_interval_s: float
     runs: int
     seed: int
     verify_sampling: VerifySampling
@@ -76,8 +76,6 @@ class SimulationConfig:
             raise ValueError("tx_per_block_mean must be > 0")
         if self.blocks_per_run < 1:
             raise ValueError("blocks_per_run must be >= 1")
-        if self.block_interval_s <= 0:
-            raise ValueError("block_interval_s must be > 0")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
 
@@ -105,12 +103,10 @@ def default_config(model: ChainModel | int) -> SimulationConfig:
         resolved = model if isinstance(model, ChainModel) else ChainModel(model)
     except ValueError:
         raise UnknownModel(f"unknown chain model: {model!r}") from None
-    tx_mean, interval = _MODEL_DEFAULTS[resolved]
     return SimulationConfig(
         model=resolved,
-        tx_per_block_mean=tx_mean,
+        tx_per_block_mean=_MODEL_DEFAULTS[resolved][0],
         blocks_per_run=DEFAULT_BLOCKS_PER_RUN,
-        block_interval_s=interval,
         runs=DEFAULT_SIM_RUNS,
         seed=DEFAULT_SEED,
         verify_sampling=VerifySampling.NORMAL_PER_BLOCK,
@@ -163,7 +159,7 @@ def config_echo(config: SimulationConfig) -> tuple[str, ...]:
         f"model={config.model.label}",
         f"tx_per_block_mean={config.tx_per_block_mean!r}",
         f"blocks_per_run={config.blocks_per_run}",
-        f"block_interval_s={config.block_interval_s!r}",
+        f"block_interval_s={_MODEL_DEFAULTS[config.model][1]!r}",
         f"runs={config.runs}",
         f"seed={config.seed}",
         f"verify_sampling={config.verify_sampling.value}",

@@ -265,15 +265,15 @@ class TestTimerResolution:
 
 class TestProbeEnvironment:
     def test_fields_populated(self):
-        env = probe_environment(resolution_pairs=50_000)
+        env = probe_environment()
         assert env.cpu_model
         assert env.os_descriptor
         assert env.memory_bytes >= 0
         assert env.timer_resolution_ns > 0.0
 
     def test_identity_fields_stable(self):
-        first = probe_environment(resolution_pairs=50_000)
-        second = probe_environment(resolution_pairs=50_000)
+        first = probe_environment()
+        second = probe_environment()
         assert first.cpu_model == second.cpu_model
         assert first.os_descriptor == second.os_descriptor
         assert first.memory_bytes == second.memory_bytes

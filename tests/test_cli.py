@@ -208,6 +208,30 @@ class TestRunPipeline:
         assert (out / "simulation_bitcoin_lower.svg").is_file()
         assert (out / "simulation_ethereum_lower.svg").is_file()
 
+    def test_manifest_lists_outputs_in_order(self, tmp_path, stub_provider):
+        # ECDSA has one variant at each of levels 1, 3 and 5
+        config = tiny_config(tmp_path, levels=frozenset({1, 3, 5}), families=("ECDSA",))
+        assert run_pipeline(config) == 0
+        manifest = json.loads(
+            (config.output_dir / "manifest.json").read_text(encoding="utf-8")
+        )
+        assert manifest["outputs"] == [
+            "benchmark.csv",
+            "benchmark_lower.svg",
+            "benchmark_level3.svg",
+            "benchmark_level5.svg",
+            "simulation.csv",
+            "simulation_bitcoin_lower.svg",
+            "simulation_bitcoin_level3.svg",
+            "simulation_bitcoin_level5.svg",
+            "simulation_ethereum_lower.svg",
+            "simulation_ethereum_level3.svg",
+            "simulation_ethereum_level5.svg",
+        ]
+        assert sorted(path.name for path in config.output_dir.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"]
+        )
+
     def test_manifest_round_trips_config(self, tmp_path, stub_provider):
         config = tiny_config(tmp_path)
         run_pipeline(config)

@@ -1,0 +1,126 @@
+"""What the benchmark in perfbench/ relies on in chainsig still exists.
+
+perfbench wraps chainsig functions by name, counts the bytes the report
+writers return, and imports chainsig names in its floor and provenance
+helpers. A rename in chainsig would otherwise surface only when the
+benchmark runs.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from chainsig import cli
+from chainsig.report import LevelGroup, Operation, ReportDataset, ReportRow, Stage
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def run_module():
+    """perfbench/run.py, loaded by path with its sibling modules importable."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_target_resolves_to_a_callable(run_module):
+    assert run_module.TARGETS
+    for module_name, attribute, _span, _hook in run_module.TARGETS:
+        target = getattr(importlib.import_module(module_name), attribute, None)
+        assert callable(target), f"{module_name}.{attribute}"
+
+
+def _row(variant: str, operation: Operation, mean: float) -> ReportRow:
+    return ReportRow(
+        machine="host",
+        family="ECDSA",
+        variant=variant,
+        level=1,
+        stage=Stage.BENCHMARK,
+        model=None,
+        operation=operation,
+        mean_ms=mean,
+        std_ms=0.01,
+        n=10,
+    )
+
+
+def test_report_writers_return_bytes_written(tmp_path):
+    # perfbench adds these return values up as report.bytes; the text is
+    # not ASCII, so a count of characters would differ from the bytes
+    dataset = ReportDataset(
+        (_row("P-256 µ", Operation.VERIFY, 0.08), _row("P-384 µ", Operation.VERIFY, 0.3))
+    )
+    csv_path = tmp_path / "benchmark.csv"
+    written = cli.write_csv(dataset, csv_path, comments=("host=Grüße",))
+    assert written == csv_path.stat().st_size
+    svg_path = tmp_path / "chart.svg"
+    written = cli.render_bar_chart(
+        dataset, "latency µs", LevelGroup.LOWER, (Operation.VERIFY,), svg_path
+    )
+    assert isinstance(written, int)
+    assert written == svg_path.stat().st_size
+
+
+def _chainsig_names(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each chainsig name the file imports or reads off an imported module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chainsig"):
+            for alias in node.names:
+                names.append((node.module, alias.name))
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            names.append((modules[node.value.id], node.attr))
+    return names
+
+
+def _resolve(module_name: str, name: str) -> object:
+    """The object `from module_name import name` binds, or None."""
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError:
+        return None
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return None
+
+
+@pytest.mark.parametrize("helper", ["floors.py", "provenance.py"])
+def test_helper_imports_exist(helper):
+    names = _chainsig_names(PERFBENCH / helper)
+    assert names, f"{helper} imports nothing from chainsig"
+    missing = [f"{module}.{name}" for module, name in names if _resolve(module, name) is None]
+    assert missing == []
+
+
+@pytest.mark.parametrize("provider", ["oqs", "pqclean"])
+def test_provenance_providers_report_availability(provider):
+    # provenance.collect calls get_provider(name).available()
+    from chainsig.schemes import get_provider
+
+    assert isinstance(get_provider(provider).available(), bool)

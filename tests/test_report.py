@@ -16,7 +16,6 @@ from chainsig.report import (
     CSV_HEADER,
     _attr,
     _escape,
-    ChartSpec,
     LevelGroup,
     Operation,
     ReportDataset,
@@ -24,7 +23,6 @@ from chainsig.report import (
     Stage,
     level_group,
     parse_csv,
-    recommended_log_scale,
     render_bar_chart,
     synthesize,
     write_csv,
@@ -194,8 +192,9 @@ class TestDataset:
                 sim_row(model=ChainModel.ETHEREUM, mean=6.9448, std=0.2),
             )
         )
-        assert len(dataset.filter(stage=Stage.BENCHMARK).rows) == 1
-        assert len(dataset.filter(stage=Stage.SIMULATION).rows) == 2
+        # benchmark rows carry no model, so a model filter drops them
+        bitcoin = dataset.filter(model=ChainModel.BITCOIN)
+        assert [row.stage for row in bitcoin.rows] == [Stage.SIMULATION]
         ethereum = dataset.filter(model=ChainModel.ETHEREUM)
         assert [row.model for row in ethereum.rows] == [ChainModel.ETHEREUM]
 
@@ -416,6 +415,15 @@ class TestParseCsv:
         with pytest.raises(IoFailure, match="cannot read"):
             parse_csv(tmp_path / "absent.csv")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xff\xfe# bad\n")
+        with pytest.raises(IoFailure) as caught:
+            parse_csv(path)
+        message = str(caught.value)
+        assert message.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+        assert "\n" not in message
+
     def test_nul_in_machine_rejected(self):
         with pytest.raises(ValueError, match="NUL"):
             bench_row(machine="cpu\x00model")
@@ -515,14 +523,20 @@ def chart_rows():
 ALL_OPS = (Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY)
 
 
+def tick_labels(dataset, series=(Operation.VERIFY,)):
+    """The value-axis labels of dataset's lower-group chart, bottom to top."""
+    buffer = io.StringIO()
+    render_bar_chart(dataset, "t", LevelGroup.LOWER, series, buffer)
+    return re.findall(
+        r'<text x="74" y="[\d.]+" font-size="11" text-anchor="end">([^<]*)</text>',
+        buffer.getvalue(),
+    )
+
+
 class TestRenderBarChart:
     def test_valid_svg_with_variant_labels(self, tmp_path):
         target = tmp_path / "chart.svg"
-        count = render_bar_chart(
-            chart_rows(),
-            ChartSpec(title="ops", level_group=LevelGroup.LOWER, series=ALL_OPS),
-            target,
-        )
+        count = render_bar_chart(chart_rows(), "ops", LevelGroup.LOWER, ALL_OPS, target)
         text = target.read_text(encoding="utf-8")
         assert text.startswith("<svg ")
         assert text.endswith("</svg>\n")
@@ -533,11 +547,7 @@ class TestRenderBarChart:
 
     def test_bar_count_and_metadata(self):
         buffer = io.StringIO()
-        render_bar_chart(
-            chart_rows(),
-            ChartSpec(title="t", level_group=LevelGroup.LOWER, series=ALL_OPS),
-            buffer,
-        )
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, buffer)
         bars = re.findall(r'<rect[^>]*data-variant="([^"]+)" data-op="([^"]+)"', buffer.getvalue())
         assert sorted(bars) == sorted(
             [(v, op.value) for v in ("P-256", "Falcon-512") for op in ALL_OPS]
@@ -545,13 +555,7 @@ class TestRenderBarChart:
 
     def test_taller_bar_for_larger_mean(self):
         buffer = io.StringIO()
-        render_bar_chart(
-            chart_rows(),
-            ChartSpec(
-                title="t", level_group=LevelGroup.LOWER, series=(Operation.KEYPAIR,)
-            ),
-            buffer,
-        )
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, (Operation.KEYPAIR,), buffer)
         heights = {
             match.group(2): float(match.group(1))
             for match in re.finditer(
@@ -563,19 +567,18 @@ class TestRenderBarChart:
         assert heights["Falcon-512"] > heights["P-256"]
 
     def test_deterministic_bytes(self):
-        spec = ChartSpec(title="t", level_group=LevelGroup.LOWER, series=ALL_OPS)
         first, second = io.StringIO(), io.StringIO()
-        render_bar_chart(chart_rows(), spec, first)
-        render_bar_chart(chart_rows(), spec, second)
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, first)
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, second)
         assert first.getvalue() == second.getvalue()
 
     def test_empty_group_raises(self):
         with pytest.raises(EmptySelection):
-            render_bar_chart(
-                chart_rows(),
-                ChartSpec(title="t", level_group=LevelGroup.LEVEL5, series=ALL_OPS),
-                io.StringIO(),
-            )
+            render_bar_chart(chart_rows(), "t", LevelGroup.LEVEL5, ALL_OPS, io.StringIO())
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(EmptySelection, match="series"):
+            render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, (), io.StringIO())
 
     def test_two_machines_same_variant_rejected(self):
         dataset = ReportDataset(
@@ -583,13 +586,7 @@ class TestRenderBarChart:
         )
         with pytest.raises(DuplicateRow):
             render_bar_chart(
-                dataset,
-                ChartSpec(
-                    title="t",
-                    level_group=LevelGroup.LOWER,
-                    series=(Operation.VERIFY,),
-                ),
-                io.StringIO(),
+                dataset, "t", LevelGroup.LOWER, (Operation.VERIFY,), io.StringIO()
             )
 
     def test_log_scale_has_decade_ticks(self):
@@ -607,29 +604,12 @@ class TestRenderBarChart:
                 ),
             )
         )
-        buffer = io.StringIO()
-        render_bar_chart(
-            dataset,
-            ChartSpec(
-                title="t",
-                level_group=LevelGroup.LOWER,
-                series=(Operation.SIGN,),
-                log_scale=True,
-            ),
-            buffer,
-        )
-        text = buffer.getvalue()
-        for label in (">0.1<", ">1<", ">10<", ">100<"):
-            assert label in text
+        assert tick_labels(dataset, (Operation.SIGN,)) == ["0.01", "0.1", "1", "10", "100"]
 
     def test_single_row_chart(self):
         buffer = io.StringIO()
         render_bar_chart(
-            ReportDataset((bench_row(),)),
-            ChartSpec(
-                title="solo", level_group=LevelGroup.LOWER, series=(Operation.VERIFY,)
-            ),
-            buffer,
+            ReportDataset((bench_row(),)), "solo", LevelGroup.LOWER, (Operation.VERIFY,), buffer
         )
         assert 'data-variant="P-256"' in buffer.getvalue()
 
@@ -639,13 +619,7 @@ class TestRenderBarChart:
         )
         buffer = io.StringIO()
         render_bar_chart(
-            dataset,
-            ChartSpec(
-                title="per-block cost",
-                level_group=LevelGroup.LOWER,
-                series=(Operation.VERIFY,),
-            ),
-            buffer,
+            dataset, "per-block cost", LevelGroup.LOWER, (Operation.VERIFY,), buffer
         )
         assert 'data-variant="Falcon-512"' in buffer.getvalue()
 
@@ -670,33 +644,28 @@ class TestEscape:
         assert _attr(text) == escape(text, {'"': "&quot;"})
 
 
-class TestChartSpec:
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError, match="series"):
-            ChartSpec(title="t", level_group=LevelGroup.LOWER, series=())
-
-    def test_tiny_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            ChartSpec(
-                title="t",
-                level_group=LevelGroup.LOWER,
-                series=(Operation.SIGN,),
-                width=100,
-                height=100,
-            )
-
-
 class TestRecommendedLogScale:
+    """The value-axis rule render_bar_chart applies to the rows it draws."""
+
     def test_wide_range_true(self):
-        rows = [bench_row(mean=0.03), bench_row(variant="X", mean=80.0)]
-        assert recommended_log_scale(rows) is True
+        rows = ReportDataset((bench_row(mean=0.03), bench_row(variant="X", mean=80.0)))
+        assert tick_labels(rows) == ["0.01", "0.1", "1", "10", "100"]
 
     def test_narrow_range_false(self):
-        rows = [bench_row(mean=0.5), bench_row(variant="X", mean=2.0)]
-        assert recommended_log_scale(rows) is False
+        rows = ReportDataset((bench_row(mean=0.5), bench_row(variant="X", mean=2.0)))
+        assert tick_labels(rows) == ["0", "0.5", "1", "1.5", "2", "2.5"]
+        # a spread of exactly 100 is not above 100
+        rows = ReportDataset((bench_row(mean=0.5), bench_row(variant="X", mean=50.0)))
+        assert tick_labels(rows)[0] == "0"
 
     def test_zero_means_ignored(self):
-        assert recommended_log_scale([bench_row(mean=0.0)]) is False
+        only_zero = ReportDataset((bench_row(mean=0.0),))
+        assert tick_labels(only_zero) == ["0", "0.001", "0.002", "0.003", "0.004", "0.005"]
+        # one positive mean is no spread, however far it is from zero
+        rows = ReportDataset((bench_row(mean=0.0), bench_row(variant="X", mean=80.0)))
+        assert tick_labels(rows) == ["0", "20", "40", "60", "80", "100"]
 
     def test_single_row_false(self):
-        assert recommended_log_scale([bench_row(mean=5.0)]) is False
+        assert tick_labels(ReportDataset((bench_row(mean=5.0),))) == [
+            "0", "2", "4", "6", "8", "10"
+        ]

@@ -49,7 +49,7 @@ class TestDefaults:
     def test_bitcoin_profile(self):
         config = default_config(ChainModel.BITCOIN)
         assert config.tx_per_block_mean == 1729.0
-        assert config.block_interval_s == 600.0
+        assert "block_interval_s=600.0" in config_echo(config)
         assert config.blocks_per_run == DEFAULT_BLOCKS_PER_RUN == 16
         assert config.runs == DEFAULT_SIM_RUNS == 1000
         assert config.seed == DEFAULT_SEED == 42
@@ -58,7 +58,7 @@ class TestDefaults:
     def test_ethereum_profile(self):
         config = default_config(ChainModel.ETHEREUM)
         assert config.tx_per_block_mean == 131.0
-        assert config.block_interval_s == 13.0
+        assert "block_interval_s=13.0" in config_echo(config)
 
     def test_integer_codes(self):
         assert default_config(1).model is ChainModel.BITCOIN
@@ -98,7 +98,7 @@ class TestConfigValidation:
             {"tx_per_block_mean": 0.0},
             {"tx_per_block_mean": -1.0},
             {"blocks_per_run": 0},
-            {"block_interval_s": 0.0},
+            {"blocks_per_run": -1},
             {"runs": 0},
         ],
     )
@@ -251,7 +251,6 @@ class TestClosedFormOracle:
             model=model,
             tx_per_block_mean=lam,
             blocks_per_run=ORACLE_BLOCKS,
-            block_interval_s=600.0,
             runs=ORACLE_RUNS,
             seed=20251017,
             verify_sampling=sampling,
