@@ -38,10 +38,10 @@ from .report import (
     synthesize,
     write_csv,
 )
-from .schemes import FAMILY_ORDER, VALID_LEVELS, catalog, filter_by_levels, instantiate
-from .sim import (
-    DEFAULT_SEED, DEFAULT_SIM_RUNS, ChainModel, config_echo, default_config, simulate_batch
+from .schemes import (
+    FAMILY_ORDER, VALID_LEVELS, by_variant, catalog, filter_by_levels, instantiate
 )
+from .sim import ChainModel, SimulationConfig, config_echo, simulate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -84,9 +84,9 @@ class CliConfig:
     runs: int = RunPlan.runs
     warmup: int = RunPlan.warmup
     levels: frozenset[int] = DEFAULT_LEVELS
-    runs_simulator: int = DEFAULT_SIM_RUNS
+    runs_simulator: int = SimulationConfig.runs
     models: tuple[ChainModel, ...] = tuple(ChainModel)
-    seed: int = DEFAULT_SEED
+    seed: int = SimulationConfig.seed
     output_dir: Path = Path("chainsig-results")
     families: tuple[str, ...] | None = None
     message_len: int = RunPlan.message_len
@@ -272,8 +272,6 @@ def _read_replay(path: Path) -> tuple[ReportDataset, str]:
 
 def run_pipeline(config: CliConfig) -> int:
     """Execute benchmark, simulation and reporting per config."""
-    # the host label of every row; no row carries it if no stage yields rows
-    machine = ""
     replayed_from: dict | None = None
     replaying = config.replay_benchmarks is not None
     if replaying:
@@ -286,8 +284,22 @@ def run_pipeline(config: CliConfig) -> int:
                 f"{config.replay_benchmarks}: rows from {len(machines)} machines"
                 f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
             )
-        if machines:
-            machine = machines[0]
+        # every row keeps its labels through the simulation stage, so they
+        # must be the catalog's
+        known = by_variant()
+        for row in replayed.rows:
+            descriptor = known.get(row.variant)
+            if descriptor is None:
+                raise IoFailure(
+                    f"{config.replay_benchmarks}: {row.variant} (labelled {row.family}"
+                    f" level {row.level}) is not in the catalog"
+                )
+            if (row.family, row.level) != (descriptor.family, descriptor.level):
+                raise IoFailure(
+                    f"{config.replay_benchmarks}: {row.variant} is labelled {row.family}"
+                    f" level {row.level}, but the catalog has {descriptor.family}"
+                    f" level {descriptor.level}"
+                )
         replayed_from = {
             "path": str(config.replay_benchmarks),
             "sha256": sha256,
@@ -309,7 +321,7 @@ def run_pipeline(config: CliConfig) -> int:
     selected = filter_by_levels(catalog(), config.levels)
     if config.families is not None:
         selected = [d for d in selected if d.family in config.families]
-    selected_by_variant = {d.variant: d for d in selected}
+    selected_variants = {d.variant for d in selected}
     if not selected:
         logger.warning("no variants at the selected levels")
 
@@ -323,7 +335,7 @@ def run_pipeline(config: CliConfig) -> int:
             tuple(
                 row
                 for row in replayed.rows
-                if row.stage is Stage.BENCHMARK and row.variant in selected_by_variant
+                if row.stage is Stage.BENCHMARK and row.variant in selected_variants
             )
         )
         present = {row.variant for row in bench_dataset.rows}
@@ -335,7 +347,6 @@ def run_pipeline(config: CliConfig) -> int:
     elif not config.skip_benchmark:
         started = time.perf_counter()
         environment = probe_environment()
-        machine = environment.cpu_model
         logger.info(
             "host: %s, timer resolution %.0f ns, probed in %.2f s",
             environment.cpu_model,
@@ -375,7 +386,7 @@ def run_pipeline(config: CliConfig) -> int:
             len(selected),
             _elapsed(started),
         )
-        bench_dataset = synthesize(records, [], machine=machine)
+        bench_dataset = synthesize(records, machine=environment.cpu_model)
 
     outputs: list[str] = []
     if replaying or not config.skip_benchmark:
@@ -398,21 +409,28 @@ def run_pipeline(config: CliConfig) -> int:
     if not config.skip_simulation:
         started = time.perf_counter()
         sim_configs = {
-            model: replace(
-                default_config(model), runs=config.runs_simulator, seed=config.seed
-            )
+            model: SimulationConfig(model, runs=config.runs_simulator, seed=config.seed)
             for model in config.models
         }
-        sims = []
+        sim_rows = []
         for row in bench_dataset.rows:
             if row.operation is not Operation.VERIFY:
                 continue
-            descriptor = selected_by_variant[row.variant]
             stat = StatSummary(mean_ms=row.mean_ms, std_ms=row.std_ms, n=row.n)
             for model, sim_config in sim_configs.items():
-                sims.append((descriptor, model, simulate_batch(sim_config, stat)))
-        sim_dataset = synthesize([], sims, machine=machine)
-        logger.info("simulation: %d batches in %.2f s", len(sims), _elapsed(started))
+                batch = simulate_batch(sim_config, stat)
+                sim_rows.append(
+                    replace(
+                        row,
+                        stage=Stage.SIMULATION,
+                        model=model,
+                        mean_ms=batch.mean_ms,
+                        std_ms=batch.std_ms,
+                        n=batch.n,
+                    )
+                )
+        sim_dataset = ReportDataset(tuple(sim_rows))
+        logger.info("simulation: %d batches in %.2f s", len(sim_rows), _elapsed(started))
 
         started = time.perf_counter()
         written = len(outputs)

@@ -27,10 +27,6 @@ class EmptySamples(ChainsigError):
     """A statistic was requested over an empty sample list."""
 
 
-class UnknownModel(ChainsigError):
-    """A chain model identifier is not one of the supported models."""
-
-
 class DuplicateRow(ChainsigError):
     """Two result rows share the same identity columns."""
 

@@ -18,8 +18,8 @@ from typing import IO, Iterable, Sequence
 
 from .bench import BenchmarkRecord
 from .errors import DuplicateRow, EmptySelection, IoFailure
-from .schemes import FAMILY_ORDER, VariantDescriptor
-from .sim import ChainModel, SimulationResult
+from .schemes import FAMILY_ORDER
+from .sim import ChainModel
 
 CSV_HEADER = "machine,family,variant,level,stage,model,operation,mean_ms,std_ms,n"
 
@@ -152,16 +152,11 @@ class ReportDataset:
         return ReportDataset(tuple(row for row in self.rows if row.model is model))
 
 
-def synthesize(
-    records: Sequence[BenchmarkRecord],
-    sims: Sequence[tuple[VariantDescriptor, ChainModel, SimulationResult]],
-    machine: str,
-) -> ReportDataset:
-    """Consolidate both stages into one dataset.
+def synthesize(records: Sequence[BenchmarkRecord], machine: str) -> ReportDataset:
+    """The benchmark rows of records: keypair, sign and verify per record.
 
-    Each benchmark record yields three rows (keypair, sign, verify);
-    each simulation entry yields one verify row. Every row is labelled
-    with machine, the host that measured the benchmark.
+    Every row is labelled with machine, the host that measured the
+    benchmark.
     """
     rows = []
     for record in records:
@@ -185,21 +180,6 @@ def synthesize(
                     n=stat.n,
                 )
             )
-    for descriptor, model, result in sims:
-        rows.append(
-            ReportRow(
-                machine=machine,
-                family=descriptor.family,
-                variant=descriptor.variant,
-                level=descriptor.level,
-                stage=Stage.SIMULATION,
-                model=model,
-                operation=Operation.VERIFY,
-                mean_ms=result.batch.mean_ms,
-                std_ms=result.batch.std_ms,
-                n=result.batch.n,
-            )
-        )
     return ReportDataset(tuple(rows))
 
 

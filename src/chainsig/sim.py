@@ -15,6 +15,11 @@ per-model constant, not a config field: config_echo writes it into the
 CSV headers as a description of the network profile, and it does not
 change the result.
 
+A per-signature cost is drawn from Normal(mean, std) once per block,
+clamped at zero. Calibration against published per-block means uses the
+measured mean alone: pass a verify statistic with std_ms = 0, and every
+signature costs exactly the mean.
+
 The draws depend on the config alone, not on the verify statistic: every
 variant simulated under one config sees the same transaction counts and
 the same standard-normal draws (common random numbers), so differences
@@ -30,11 +35,11 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .bench import StatSummary, summarize
-from .errors import UnknownModel
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -50,40 +55,19 @@ class ChainModel(enum.Enum):
         return self.name.capitalize()
 
 
-class VerifySampling(enum.Enum):
-    """Per-block signature-verify cost draw.
-
-    MEAN_ONLY uses the measured mean exactly (calibration mode);
-    NORMAL_PER_BLOCK draws Normal(mean, std) once per block, clamped at
-    zero.
-    """
-
-    MEAN_ONLY = "mean-only"
-    NORMAL_PER_BLOCK = "normal-per-block"
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
+    """The values a run sets; the network profile follows from model."""
+
     model: ChainModel
-    tx_per_block_mean: float
-    blocks_per_run: int
-    runs: int
-    seed: int
-    verify_sampling: VerifySampling
+    runs: int = 1000
+    seed: int = 42
+
+    blocks_per_run: ClassVar[int] = 16
 
     def __post_init__(self) -> None:
-        if self.tx_per_block_mean <= 0:
-            raise ValueError("tx_per_block_mean must be > 0")
-        if self.blocks_per_run < 1:
-            raise ValueError("blocks_per_run must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    run_means_ms: tuple[float, ...]
-    batch: StatSummary
 
 
 # network profiles: expected transactions per block and mean block spacing
@@ -92,51 +76,27 @@ _MODEL_DEFAULTS = {
     ChainModel.ETHEREUM: (131.0, 13.0),
 }
 
-DEFAULT_BLOCKS_PER_RUN = 16
-DEFAULT_SIM_RUNS = 1000
-DEFAULT_SEED = 42
-
-
-def default_config(model: ChainModel | int) -> SimulationConfig:
-    """Baseline configuration for a chain model (CLI values 1 and 2)."""
-    try:
-        resolved = model if isinstance(model, ChainModel) else ChainModel(model)
-    except ValueError:
-        raise UnknownModel(f"unknown chain model: {model!r}") from None
-    return SimulationConfig(
-        model=resolved,
-        tx_per_block_mean=_MODEL_DEFAULTS[resolved][0],
-        blocks_per_run=DEFAULT_BLOCKS_PER_RUN,
-        runs=DEFAULT_SIM_RUNS,
-        seed=DEFAULT_SEED,
-        verify_sampling=VerifySampling.NORMAL_PER_BLOCK,
-    )
-
 
 @functools.lru_cache(maxsize=len(ChainModel))
-def _draws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray | None]:
+def _draws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """(transaction counts, standard normals) for config, drawn once and read-only.
 
     Both arrays have shape (runs, blocks_per_run) and come from one
-    generator seeded with config.seed, the counts first. The normals are
-    None in mean-only mode. A run simulates every verify row under the
-    same config, so the cache holds one entry per chain model.
+    generator seeded with config.seed, the counts first. A run simulates
+    every verify row under the same config, so the cache holds one entry
+    per chain model.
     """
     sequence = np.random.SeedSequence(config.seed & _SEED_MASK)
     rng = np.random.Generator(np.random.PCG64(sequence))
     shape = (config.runs, config.blocks_per_run)
-    tx_counts = rng.poisson(config.tx_per_block_mean, shape)
+    tx_counts = rng.poisson(_MODEL_DEFAULTS[config.model][0], shape)
     tx_counts.flags.writeable = False
-    if config.verify_sampling is VerifySampling.MEAN_ONLY:
-        return tx_counts, None
     z = rng.standard_normal(shape)
     z.flags.writeable = False
     return tx_counts, z
 
 
-def simulate_batch(
-    config: SimulationConfig, verify_stat: StatSummary
-) -> SimulationResult:
+def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSummary:
     """config.runs independent runs; batch stats over per-run means.
 
     Every call with an equal config reuses the same transaction counts
@@ -145,22 +105,19 @@ def simulate_batch(
     from the same generator bit for bit.
     """
     tx_counts, z = _draws(config)
-    if z is None:
-        per_signature_ms = verify_stat.mean_ms
-    else:
-        per_signature_ms = np.maximum(verify_stat.mean_ms + verify_stat.std_ms * z, 0.0)
-    run_means = tuple((tx_counts * per_signature_ms).mean(axis=1).tolist())
-    return SimulationResult(run_means_ms=run_means, batch=summarize(run_means))
+    per_signature_ms = np.maximum(verify_stat.mean_ms + verify_stat.std_ms * z, 0.0)
+    return summarize((tx_counts * per_signature_ms).mean(axis=1).tolist())
 
 
 def config_echo(config: SimulationConfig) -> tuple[str, ...]:
     """Flat key=value lines describing a config, for CSV comment headers."""
+    tx_per_block_mean, block_interval_s = _MODEL_DEFAULTS[config.model]
     return (
         f"model={config.model.label}",
-        f"tx_per_block_mean={config.tx_per_block_mean!r}",
+        f"tx_per_block_mean={tx_per_block_mean!r}",
         f"blocks_per_run={config.blocks_per_run}",
-        f"block_interval_s={_MODEL_DEFAULTS[config.model][1]!r}",
+        f"block_interval_s={block_interval_s!r}",
         f"runs={config.runs}",
         f"seed={config.seed}",
-        f"verify_sampling={config.verify_sampling.value}",
+        "verify_sampling=normal-per-block",
     )

@@ -19,7 +19,16 @@ from chainsig.cli import (
     run_pipeline,
 )
 from chainsig.errors import UsageError
-from chainsig.report import CSV_HEADER, ReportDataset, Stage, parse_csv, write_csv
+from chainsig.report import (
+    CSV_HEADER,
+    Operation,
+    ReportDataset,
+    ReportRow,
+    Stage,
+    parse_csv,
+    write_csv,
+)
+from chainsig.schemes import catalog
 from chainsig.sim import ChainModel
 
 
@@ -188,6 +197,28 @@ def tiny_config(tmp_path, **overrides) -> CliConfig:
 @pytest.fixture()
 def stub_provider(monkeypatch):
     monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
+
+
+def write_replay(path: Path, labels) -> Path:
+    """A benchmark CSV with keypair, sign and verify rows per (family, variant, level)."""
+    rows = tuple(
+        ReportRow(
+            machine="replay host",
+            family=family,
+            variant=variant,
+            level=level,
+            stage=Stage.BENCHMARK,
+            model=None,
+            operation=operation,
+            mean_ms=0.01 * (index + 1),
+            std_ms=0.001,
+            n=10,
+        )
+        for index, (family, variant, level) in enumerate(labels)
+        for operation in Operation
+    )
+    write_csv(ReportDataset(rows), path)
+    return path
 
 
 class TestRunPipeline:
@@ -421,6 +452,33 @@ class TestRunPipeline:
         assert outputs[0] == outputs[1]
         assert "simulation.csv" in outputs[0]
 
+    def test_simulation_rows_carry_their_verify_row_labels(self, tmp_path):
+        replay_csv = write_replay(
+            tmp_path / "replay.csv", [(d.family, d.variant, d.level) for d in catalog()]
+        )
+        config = tiny_config(
+            tmp_path, levels=DEFAULT_LEVELS, replay_benchmarks=replay_csv
+        )
+        assert run_pipeline(config) == 0
+        verify_rows = {
+            row.variant: row
+            for row in parse_csv(config.output_dir / "benchmark.csv").rows
+            if row.operation is Operation.VERIFY
+        }
+        simulation = parse_csv(config.output_dir / "simulation.csv").rows
+        for model in ChainModel:
+            rows = [row for row in simulation if row.model is model]
+            assert sorted(row.variant for row in rows) == sorted(verify_rows)
+            for row in rows:
+                verify = verify_rows[row.variant]
+                assert (row.machine, row.family, row.variant, row.level) == (
+                    verify.machine, verify.family, verify.variant, verify.level
+                )
+                assert (row.stage, row.model, row.operation) == (
+                    Stage.SIMULATION, model, Operation.VERIFY
+                )
+                assert row.n == config.runs_simulator
+
     def test_replay_missing_variant_exit_2(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
         run_pipeline(source)
@@ -492,6 +550,30 @@ class TestMain:
         assert len(fatal) == 1
         assert fatal[0].startswith("chainsig: fatal: ")
         assert "'host-a'" in fatal[0] and "'host-b'" in fatal[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "labels,expected",
+        [
+            (
+                ("ECDSA", "P-256", 3),
+                "P-256 is labelled ECDSA level 3, but the catalog has ECDSA level 1",
+            ),
+            (
+                ("ECDSA", "Foo-9", 1),
+                "Foo-9 (labelled ECDSA level 1) is not in the catalog",
+            ),
+        ],
+        ids=["wrong-level", "unknown-variant"],
+    )
+    def test_replay_row_off_catalog_exits_1(self, tmp_path, capsys, labels, expected):
+        # the simulation rows inherit their verify row's labels, so a replay
+        # row must carry the catalog's
+        replay_csv = write_replay(tmp_path / "replay.csv", [("ECDSA", "P-384", 3), labels])
+        out = tmp_path / "out"
+        assert main(["--replay-benchmarks", str(replay_csv), "--output-dir", str(out)]) == 1
+        fatal = [line for line in capsys.readouterr().err.splitlines() if "chainsig:" in line]
+        assert fatal == [f"chainsig: fatal: {replay_csv}: {expected}"]
         assert not out.exists()
 
     def test_small_stub_run_exits_0(self, tmp_path, stub_provider):

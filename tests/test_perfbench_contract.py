@@ -12,7 +12,9 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,6 +77,33 @@ def test_report_writers_return_bytes_written(tmp_path):
     )
     assert isinstance(written, int)
     assert written == svg_path.stat().st_size
+
+
+def test_simulate_batch_configs_expose_int_runs_and_blocks(run_module, tmp_path, monkeypatch):
+    # perfbench's sim hook counts runs * blocks_per_run off each config
+    # the pipeline passes to simulate_batch
+    configs = []
+    simulate_batch = cli.simulate_batch
+
+    def recording(config, verify_stat):
+        configs.append(config)
+        return simulate_batch(config, verify_stat)
+
+    monkeypatch.setattr(cli, "simulate_batch", recording)
+    replay_csv = tmp_path / "replay.csv"
+    cli.write_csv(
+        ReportDataset(tuple(_row("P-256", operation, 0.05) for operation in Operation)),
+        replay_csv,
+    )
+    argv = ["--replay-benchmarks", str(replay_csv), "--families", "ECDSA", "--levels", "1",
+            "--runs-simulator", "3", "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(configs) == 2
+    tracer = SimpleNamespace(counters=defaultdict(float), samples=defaultdict(list))
+    for config in configs:
+        assert type(config.runs) is int and type(config.blocks_per_run) is int
+        run_module._simulated(tracer, SimpleNamespace(start=0.0, end=0.0), None, (config,))
+    assert tracer.counters["sim.blocks"] == sum(c.runs * c.blocks_per_run for c in configs)
 
 
 def _chainsig_names(path: Path) -> list[tuple[str, str]]:

@@ -27,7 +27,7 @@ from chainsig.report import (
     synthesize,
     write_csv,
 )
-from chainsig.sim import ChainModel, SimulationResult
+from chainsig.sim import ChainModel
 from chainsig.schemes import by_variant
 from conftest import make_stub_descriptor
 
@@ -94,12 +94,6 @@ def make_record(variant="P-256", stats=None):
         keypair_stat=keypair,
         sign_stat=sign,
         verify_stat=verify,
-    )
-
-
-def make_sim_result(mean=136.2845, std=2.3648, n=1000):
-    return SimulationResult(
-        run_means_ms=(mean,) * min(n, 3), batch=StatSummary(mean, std, n)
     )
 
 
@@ -201,7 +195,7 @@ class TestDataset:
 
 class TestSynthesize:
     def test_one_record_yields_three_rows(self):
-        dataset = synthesize([make_record()], [], machine="test-cpu")
+        dataset = synthesize([make_record()], machine="test-cpu")
         assert len(dataset.rows) == 3
         operations = [row.operation for row in dataset.rows]
         assert operations == [Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY]
@@ -214,35 +208,25 @@ class TestSynthesize:
         assert verify.level == 1
 
     def test_machine_override(self):
-        descriptor = by_variant()["P-256"]
-        dataset = synthesize(
-            [make_record()],
-            [(descriptor, ChainModel.ETHEREUM, make_sim_result(6.9448, 0.2, 1000))],
-            machine="named-host",
-        )
-        assert len(dataset.rows) == 4
+        # the row label is the named host, whichever records it is given
+        records = [make_record("P-256"), make_record("ML-DSA-87")]
+        dataset = synthesize(records, machine="named-host")
         assert {row.machine for row in dataset.rows} == {"named-host"}
-        sim = dataset.rows[-1]
-        assert sim.stage is Stage.SIMULATION
-        assert sim.model is ChainModel.ETHEREUM
-        assert sim.operation is Operation.VERIFY
 
     def test_full_shape(self):
         records = [make_record("P-256"), make_record("ML-DSA-87")]
-        sims = [
-            (records[0].descriptor, model, make_sim_result())
-            for model in ChainModel
-        ] + [
-            (records[1].descriptor, model, make_sim_result(242.0, 4.0, 1000))
-            for model in ChainModel
-        ]
-        dataset = synthesize(records, sims, machine="test-cpu")
-        assert len(dataset.rows) == 2 * 3 + 4
+        dataset = synthesize(records, machine="test-cpu")
+        assert len(dataset.rows) == 2 * 3
+        assert {(row.variant, row.level, row.operation) for row in dataset.rows} == {
+            (variant, level, operation)
+            for variant, level in (("P-256", 1), ("ML-DSA-87", 5))
+            for operation in Operation
+        }
 
     def test_duplicate_records_rejected(self):
         record = make_record()
         with pytest.raises(DuplicateRow):
-            synthesize([record, record], [], machine="test-cpu")
+            synthesize([record, record], machine="test-cpu")
 
 
 class TestWriteCsv:

@@ -9,19 +9,8 @@ import numpy as np
 import pytest
 
 from chainsig import sim
-from chainsig.bench import StatSummary
-from chainsig.errors import UnknownModel
-from chainsig.sim import (
-    DEFAULT_BLOCKS_PER_RUN,
-    DEFAULT_SEED,
-    DEFAULT_SIM_RUNS,
-    ChainModel,
-    SimulationConfig,
-    VerifySampling,
-    config_echo,
-    default_config,
-    simulate_batch,
-)
+from chainsig.bench import StatSummary, summarize
+from chainsig.sim import ChainModel, SimulationConfig, config_echo, simulate_batch
 
 # Published (batch mean ms, per-signature verify mean ms) pairs measured
 # on two unrelated hosts. Dividing the first by the second recovers the
@@ -42,32 +31,35 @@ def _stat(mean: float, std: float = 0.0, n: int = 10000) -> StatSummary:
 
 
 def _config(model=ChainModel.BITCOIN, **overrides) -> SimulationConfig:
-    return replace(default_config(model), **overrides)
+    return SimulationConfig(model, **overrides)
+
+
+def _tx_per_block(model: ChainModel) -> float:
+    return sim._MODEL_DEFAULTS[model][0]
 
 
 class TestDefaults:
     def test_bitcoin_profile(self):
-        config = default_config(ChainModel.BITCOIN)
-        assert config.tx_per_block_mean == 1729.0
+        config = SimulationConfig(ChainModel.BITCOIN)
+        assert _tx_per_block(config.model) == 1729.0
         assert "block_interval_s=600.0" in config_echo(config)
-        assert config.blocks_per_run == DEFAULT_BLOCKS_PER_RUN == 16
-        assert config.runs == DEFAULT_SIM_RUNS == 1000
-        assert config.seed == DEFAULT_SEED == 42
-        assert config.verify_sampling is VerifySampling.NORMAL_PER_BLOCK
+        assert config.blocks_per_run == 16
+        assert config.runs == 1000
+        assert config.seed == 42
 
     def test_ethereum_profile(self):
-        config = default_config(ChainModel.ETHEREUM)
-        assert config.tx_per_block_mean == 131.0
+        config = SimulationConfig(ChainModel.ETHEREUM)
+        assert _tx_per_block(config.model) == 131.0
         assert "block_interval_s=13.0" in config_echo(config)
 
     def test_integer_codes(self):
-        assert default_config(1).model is ChainModel.BITCOIN
-        assert default_config(2).model is ChainModel.ETHEREUM
+        assert ChainModel(1) is ChainModel.BITCOIN
+        assert ChainModel(2) is ChainModel.ETHEREUM
 
     @pytest.mark.parametrize("bad", [0, 3, 7, -1])
     def test_unknown_model_rejected(self, bad):
-        with pytest.raises(UnknownModel):
-            default_config(bad)
+        with pytest.raises(ValueError):
+            ChainModel(bad)
 
     def test_model_labels(self):
         assert ChainModel.BITCOIN.label == "Bitcoin"
@@ -83,27 +75,28 @@ class TestDefaults:
     def test_tx_per_block_recovered_from_published_cells(self, cells, model):
         # batch mean ~= tx_per_block * per_signature_mean, so each cell
         # pair independently estimates the transactions-per-block constant
-        config = default_config(model)
+        tx_per_block = _tx_per_block(model)
         for batch_mean, per_signature in cells:
             estimate = batch_mean / per_signature
-            assert abs(estimate - config.tx_per_block_mean) <= (
-                0.02 * config.tx_per_block_mean
-            )
+            assert abs(estimate - tx_per_block) <= 0.02 * tx_per_block
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
+            # the profile values are per-model constants, so a config
+            # cannot carry any value for them
             {"tx_per_block_mean": 0.0},
             {"tx_per_block_mean": -1.0},
             {"blocks_per_run": 0},
             {"blocks_per_run": -1},
             {"runs": 0},
+            {"runs": -1},
         ],
     )
     def test_rejects_degenerate_values(self, overrides):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError if "runs" in overrides else TypeError):
             _config(**overrides)
 
 
@@ -111,9 +104,7 @@ class TestSimulateRun:
     """One run, simulated as a batch of size one."""
 
     def test_zero_cost_stat(self):
-        result = simulate_batch(_config(runs=1), _stat(0.0))
-        assert result.run_means_ms == (0.0,)
-        assert result.batch.mean_ms == 0.0
+        assert simulate_batch(_config(runs=1), _stat(0.0)) == _stat(0.0, n=1)
 
     def test_deterministic_for_equal_seeds(self):
         config = _config(runs=1, seed=7)
@@ -123,28 +114,28 @@ class TestSimulateRun:
 
     def test_mean_only_single_run_near_expectation(self):
         # run mean ~= tx_per_block * m with stderr m * sqrt(tx/blocks)
-        config = _config(runs=1, verify_sampling=VerifySampling.MEAN_ONLY)
+        config = _config(runs=1)
+        tx_per_block = _tx_per_block(config.model)
         mean_ms = 0.0788
-        expected = config.tx_per_block_mean * mean_ms
-        stderr = mean_ms * math.sqrt(config.tx_per_block_mean / config.blocks_per_run)
+        expected = tx_per_block * mean_ms
+        stderr = mean_ms * math.sqrt(tx_per_block / config.blocks_per_run)
         result = simulate_batch(config, _stat(mean_ms))
-        assert abs(result.run_means_ms[0] - expected) < 3.0 * stderr
+        assert abs(result.mean_ms - expected) < 3.0 * stderr
 
     def test_zero_std_normal_equals_mean_only(self):
-        # with std 0 the normal draw degenerates to the mean, so both
-        # sampling modes must produce identical costs
-        base = _config(runs=5)
-        mean_only = replace(base, verify_sampling=VerifySampling.MEAN_ONLY)
+        # with std 0 the normal draw degenerates to the mean, so the costs
+        # equal those of a reference that draws no normals at all
+        config = _config(runs=5)
         stat = _stat(0.1402, 0.0)
-        a = simulate_batch(base, stat)
-        b = simulate_batch(mean_only, stat)
-        assert a.run_means_ms == b.run_means_ms
+        assert simulate_batch(config, stat) == summarize(
+            _fresh_generator_run_means(config, stat)
+        )
 
     def test_negative_normal_draws_clamped(self):
         # mean ~0 with large std: unclamped, the block costs would cancel
         # around zero; clamped, every block costs at least nothing
         result = simulate_batch(_config(runs=1, seed=3), _stat(0.0001, 50.0))
-        assert result.run_means_ms[0] > 0.0
+        assert result.mean_ms > 0.0
 
 
 class TestSimulateBatch:
@@ -159,35 +150,33 @@ class TestSimulateBatch:
         stat = _stat(0.0529, 0.0021)
         a = simulate_batch(_config(runs=5, seed=1), stat)
         b = simulate_batch(_config(runs=5, seed=2), stat)
-        assert a.batch.mean_ms != b.batch.mean_ms
+        assert a.mean_ms != b.mean_ms
 
     def test_run_count_respected(self):
-        result = simulate_batch(_config(runs=17), _stat(0.05))
-        assert len(result.run_means_ms) == 17
-        assert result.batch.n == 17
+        assert simulate_batch(_config(runs=17), _stat(0.05)).n == 17
 
     def test_single_run_batch_std_zero(self):
         result = simulate_batch(_config(runs=1), _stat(0.05))
-        assert result.batch.std_ms == 0.0
-        assert result.batch.n == 1
+        assert result.std_ms == 0.0
+        assert result.n == 1
 
     def test_mean_only_linearity(self):
-        # doubling the per-signature mean exactly doubles every run mean
-        config = _config(runs=10, verify_sampling=VerifySampling.MEAN_ONLY)
+        # doubling the per-signature mean exactly doubles every run mean,
+        # and so the batch mean and sd
+        config = _config(runs=10)
         base = simulate_batch(config, _stat(0.07))
         doubled = simulate_batch(config, _stat(0.14))
-        for run_a, run_b in zip(base.run_means_ms, doubled.run_means_ms):
-            assert math.isclose(run_b, 2.0 * run_a, rel_tol=1e-12)
+        assert math.isclose(doubled.mean_ms, 2.0 * base.mean_ms, rel_tol=1e-12)
+        assert math.isclose(doubled.std_ms, 2.0 * base.std_ms, rel_tol=1e-12)
 
     def test_mean_only_ordering_preserved(self):
-        config = _config(runs=10, verify_sampling=VerifySampling.MEAN_ONLY)
+        config = _config(runs=10)
         slow = simulate_batch(config, _stat(0.39))
         fast = simulate_batch(config, _stat(0.065))
-        assert fast.batch.mean_ms < slow.batch.mean_ms
+        assert fast.mean_ms < slow.mean_ms
 
     def test_negative_seed_is_masked(self):
-        result = simulate_batch(_config(runs=2, seed=-1), _stat(0.05))
-        assert result.batch.n == 2
+        assert simulate_batch(_config(runs=2, seed=-1), _stat(0.05)).n == 2
 
     @pytest.mark.parametrize(
         "model,verify_mean,expected",
@@ -197,11 +186,8 @@ class TestSimulateBatch:
         ],
     )
     def test_calibration_within_two_percent(self, model, verify_mean, expected):
-        config = replace(
-            default_config(model), verify_sampling=VerifySampling.MEAN_ONLY
-        )
-        result = simulate_batch(config, _stat(verify_mean))
-        assert abs(result.batch.mean_ms - expected) / expected <= 0.02
+        result = simulate_batch(SimulationConfig(model), _stat(verify_mean))
+        assert abs(result.mean_ms - expected) / expected <= 0.02
 
 
 # Per-block cost is tx * c with tx ~ Poisson(lam) and c the per-signature
@@ -209,22 +195,17 @@ class TestSimulateBatch:
 #   E[tx * c] = lam * m1
 #   Var[tx * c] = E[tx^2] * m2 - (lam * m1)^2 = lam * m2 + lam^2 * (m2 - m1^2)
 # and a run mean over B blocks has a variance B times smaller.
-#   mean-only:          c = mu                  m1 = mu,              m2 = mu^2
-#   normal, sigma << mu c ~ N(mu, sigma)         m1 = mu,              m2 = mu^2 + sigma^2
-#   normal, mu = 0      c = max(N(0, sigma), 0)  m1 = sigma/sqrt(2pi), m2 = sigma^2 / 2
+#   sigma = 0:          c = mu                  m1 = mu,              m2 = mu^2
+#   sigma << mu         c ~ N(mu, sigma)         m1 = mu,              m2 = mu^2 + sigma^2
+#   mu = 0              c = max(N(0, sigma), 0)  m1 = sigma/sqrt(2pi), m2 = sigma^2 / 2
 ORACLE_RUNS = 1000
 ORACLE_CASES = [
-    # model, lam, sampling, mu, sigma, m1, m2
-    (ChainModel.BITCOIN, 1729.0, VerifySampling.MEAN_ONLY,
-     0.0788, 0.0029, 0.0788, 0.0788**2),
-    (ChainModel.BITCOIN, 1729.0, VerifySampling.NORMAL_PER_BLOCK,
-     0.0788, 0.0029, 0.0788, 0.0788**2 + 0.0029**2),
-    (ChainModel.ETHEREUM, 131.0, VerifySampling.MEAN_ONLY,
-     0.0529, 0.0021, 0.0529, 0.0529**2),
-    (ChainModel.ETHEREUM, 131.0, VerifySampling.NORMAL_PER_BLOCK,
-     0.0529, 0.0021, 0.0529, 0.0529**2 + 0.0021**2),
-    (ChainModel.ETHEREUM, 131.0, VerifySampling.NORMAL_PER_BLOCK,
-     0.0, 2.0, 2.0 / math.sqrt(2.0 * math.pi), 2.0**2 / 2.0),
+    # model, lam, mu, sigma, m1, m2
+    (ChainModel.BITCOIN, 1729.0, 0.0788, 0.0, 0.0788, 0.0788**2),
+    (ChainModel.BITCOIN, 1729.0, 0.0788, 0.0029, 0.0788, 0.0788**2 + 0.0029**2),
+    (ChainModel.ETHEREUM, 131.0, 0.0529, 0.0, 0.0529, 0.0529**2),
+    (ChainModel.ETHEREUM, 131.0, 0.0529, 0.0021, 0.0529, 0.0529**2 + 0.0021**2),
+    (ChainModel.ETHEREUM, 131.0, 0.0, 2.0, 2.0 / math.sqrt(2.0 * math.pi), 2.0**2 / 2.0),
 ]
 ORACLE_BLOCKS = 16
 
@@ -245,71 +226,67 @@ class TestClosedFormOracle:
         assert round(mean_only_sd, 2) == 0.82
         assert round(normal_sd, 2) == 1.50
 
-    @pytest.mark.parametrize("model,lam,sampling,mu,sigma,m1,m2", ORACLE_CASES)
-    def test_batch_matches_closed_form(self, model, lam, sampling, mu, sigma, m1, m2):
-        config = SimulationConfig(
-            model=model,
-            tx_per_block_mean=lam,
-            blocks_per_run=ORACLE_BLOCKS,
-            runs=ORACLE_RUNS,
-            seed=20251017,
-            verify_sampling=sampling,
-        )
+    @pytest.mark.parametrize("model,lam,mu,sigma,m1,m2", ORACLE_CASES)
+    def test_batch_matches_closed_form(self, model, lam, mu, sigma, m1, m2):
+        config = SimulationConfig(model, runs=ORACLE_RUNS, seed=20251017)
+        # the oracle's profile is the one the model simulates
+        assert f"tx_per_block_mean={lam!r}" in config_echo(config)
+        assert config.blocks_per_run == ORACLE_BLOCKS
         expected_mean, expected_sd = _oracle_moments(lam, ORACLE_BLOCKS, m1, m2)
         result = simulate_batch(config, _stat(mu, sigma))
-        assert result.batch.n == ORACLE_RUNS
-        assert abs(result.batch.mean_ms - expected_mean) <= (
+        assert result.n == ORACLE_RUNS
+        assert abs(result.mean_ms - expected_mean) <= (
             5.0 * expected_sd / math.sqrt(ORACLE_RUNS)
         )
         # 10% is about 4.5 standard errors of a sample sd at n = 1000
-        assert abs(result.batch.std_ms - expected_sd) <= 0.10 * expected_sd
+        assert abs(result.std_ms - expected_sd) <= 0.10 * expected_sd
 
 
-def _fresh_generator_run_means(config: SimulationConfig, stat: StatSummary) -> tuple:
-    """Reference: one new generator per batch, costs drawn with rng.normal(mean, std)."""
+def _fresh_generator_run_means(config: SimulationConfig, stat: StatSummary) -> list:
+    """Reference: one new generator per batch, costs drawn with rng.normal(mean, std).
+
+    A stat with std 0 costs its mean exactly, and no normals are drawn.
+    """
     sequence = np.random.SeedSequence(config.seed & ((1 << 64) - 1))
     rng = np.random.Generator(np.random.PCG64(sequence))
     shape = (config.runs, config.blocks_per_run)
-    tx_counts = rng.poisson(config.tx_per_block_mean, shape)
-    if config.verify_sampling is VerifySampling.MEAN_ONLY:
+    tx_counts = rng.poisson(_tx_per_block(config.model), shape)
+    if stat.std_ms == 0.0:
         cost = stat.mean_ms
     else:
         cost = np.maximum(rng.normal(stat.mean_ms, stat.std_ms, shape), 0.0)
-    return tuple((tx_counts * cost).mean(axis=1).tolist())
+    return (tx_counts * cost).mean(axis=1).tolist()
 
 
 class TestSharedDraws:
     # the last stat draws many negative costs, so the clamp is exercised
     STATS = (_stat(0.0788, 0.0029), _stat(1.5, 0.4), _stat(3.0, 0.0), _stat(0.01, 0.02))
 
-    @pytest.mark.parametrize("sampling", list(VerifySampling))
+    @pytest.mark.parametrize("std", ["measured", "zero"])
     @pytest.mark.parametrize("seed", [0, -3, 2**70])
-    def test_equals_fresh_generator_per_batch(self, sampling, seed):
+    def test_equals_fresh_generator_per_batch(self, std, seed):
         sim._draws.cache_clear()
-        configs = [
-            replace(default_config(model), runs=50, seed=seed, verify_sampling=sampling)
-            for model in ChainModel
-        ]
+        configs = [SimulationConfig(model, runs=50, seed=seed) for model in ChainModel]
+        stats = self.STATS
+        if std == "zero":
+            stats = tuple(replace(stat, std_ms=0.0) for stat in stats)
         # stats share each config, and the two models interleave
-        for stat in self.STATS:
+        for stat in stats:
             for config in configs:
-                assert simulate_batch(config, stat).run_means_ms == (
+                assert simulate_batch(config, stat) == summarize(
                     _fresh_generator_run_means(config, stat)
                 )
 
     def test_cached_draws_are_read_only(self):
-        config = replace(default_config(ChainModel.ETHEREUM), runs=5)
-        tx_counts, z = sim._draws(config)
+        tx_counts, z = sim._draws(_config(ChainModel.ETHEREUM, runs=5))
         for array in (tx_counts, z):
             with pytest.raises(ValueError):
                 array[0, 0] = 0
-        mean_only = replace(config, verify_sampling=VerifySampling.MEAN_ONLY)
-        assert sim._draws(mean_only)[1] is None
 
 
 class TestConfigEcho:
     def test_lines_cover_every_knob(self):
-        lines = config_echo(default_config(ChainModel.BITCOIN))
+        lines = config_echo(SimulationConfig(ChainModel.BITCOIN))
         assert lines == (
             "model=Bitcoin",
             "tx_per_block_mean=1729.0",
@@ -321,7 +298,7 @@ class TestConfigEcho:
         )
 
     def test_echo_distinguishes_models(self):
-        bitcoin = config_echo(default_config(1))
-        ethereum = config_echo(default_config(2))
+        bitcoin = config_echo(SimulationConfig(ChainModel(1)))
+        ethereum = config_echo(SimulationConfig(ChainModel(2)))
         assert bitcoin != ethereum
         assert "model=Ethereum" in ethereum
