@@ -8,6 +8,7 @@ operation; no outlier trimming of any kind is applied.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import platform
@@ -180,7 +181,7 @@ def benchmark_variant(
 
     public_key, secret_key = instance.keypair()
     sign_samples = time_operation(
-        lambda message: instance.sign(secret_key, message),
+        functools.partial(instance.sign, secret_key),
         plan,
         setup=_random_messages(plan.warmup + plan.runs, plan.message_len).__next__,
     )
@@ -219,15 +220,11 @@ def _cpu_model() -> str:
 
 
 def _memory_bytes() -> int:
+    """Physical memory in bytes (MemTotal on Linux), or 0 when unknown."""
     try:
-        import psutil
-
-        return int(psutil.virtual_memory().total)
-    except Exception:
-        try:
-            return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        except (ValueError, OSError, AttributeError):
-            return 0
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return 0
 
 
 def probe_environment() -> EnvironmentInfo:

@@ -1,6 +1,6 @@
 """Variant catalog and pluggable signature backends."""
 
-from .base import KeyPair, Provider, SchemeBackend, SchemeInstance
+from .base import Provider, SchemeBackend, SchemeInstance
 from .catalog import (
     FAMILY_ORDER,
     VALID_LEVELS,
@@ -13,7 +13,6 @@ from .registry import PROVIDER_ENV, get_provider, instantiate
 
 __all__ = [
     "FAMILY_ORDER",
-    "KeyPair",
     "PROVIDER_ENV",
     "Provider",
     "SchemeBackend",

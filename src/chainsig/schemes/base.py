@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING
 
 from ..errors import BackendFailure, ChainsigError
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
-
-
-class KeyPair(NamedTuple):
-    """Serialized key material; encoding is backend-determined."""
-
-    public_key: bytes
-    secret_key: bytes
 
 
 class SchemeBackend(abc.ABC):
@@ -44,7 +37,9 @@ class SchemeInstance:
     Instances are immutable after construction and safe to share between
     threads; any randomness is self-contained in the backend calls.
     Non-emptiness of keys and signatures is enforced here so every
-    backend gets the same guarantees.
+    backend gets the same guarantees. keypair() returns a plain
+    (public_key, secret_key) tuple of bytes, sign() the signature bytes
+    and verify() a bool.
     """
 
     __slots__ = ("descriptor", "_backend")
@@ -56,26 +51,32 @@ class SchemeInstance:
     def __repr__(self) -> str:
         return f"SchemeInstance({self.descriptor.variant!r})"
 
-    def _guard(self, op_name: str, fn: Callable[..., Any], *args: Any) -> Any:
+    def _failure(self, op_name: str, exc: Exception) -> BackendFailure:
+        return BackendFailure(
+            f"{self.descriptor.variant}: {op_name} failed in backend: {exc}"
+        )
+
+    # each op is timed with its checks; a written-out try is free until it raises
+    def keypair(self) -> tuple[bytes, bytes]:
         try:
-            return fn(*args)
+            public_key, secret_key = self._backend.keypair()
         except ChainsigError:
             raise
         except Exception as exc:
-            raise BackendFailure(
-                f"{self.descriptor.variant}: {op_name} failed in backend: {exc}"
-            ) from exc
-
-    def keypair(self) -> KeyPair:
-        public_key, secret_key = self._guard("keypair", self._backend.keypair)
+            raise self._failure("keypair", exc) from exc
         if not public_key or not secret_key:
             raise BackendFailure(
                 f"{self.descriptor.variant}: backend produced an empty key"
             )
-        return KeyPair(bytes(public_key), bytes(secret_key))
+        return bytes(public_key), bytes(secret_key)
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        signature = self._guard("sign", self._backend.sign, secret_key, message)
+        try:
+            signature = self._backend.sign(secret_key, message)
+        except ChainsigError:
+            raise
+        except Exception as exc:
+            raise self._failure("sign", exc) from exc
         if not signature:
             raise BackendFailure(
                 f"{self.descriptor.variant}: backend produced an empty signature"
@@ -83,9 +84,12 @@ class SchemeInstance:
         return bytes(signature)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        return bool(
-            self._guard("verify", self._backend.verify, public_key, message, signature)
-        )
+        try:
+            return bool(self._backend.verify(public_key, message, signature))
+        except ChainsigError:
+            raise
+        except Exception as exc:
+            raise self._failure("verify", exc) from exc
 
 
 class Provider(abc.ABC):

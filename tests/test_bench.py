@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from chainsig.bench import (
     time_operation,
 )
 from chainsig.errors import ClockUnavailable, CorrectnessViolation, EmptySamples
-from chainsig.schemes.base import SchemeInstance
+from chainsig.schemes.base import SchemeBackend, SchemeInstance
 from chainsig.schemes.stub import BrokenStubBackend, StubBackend
 from conftest import (
     close,
@@ -58,6 +60,49 @@ def fake_clock(monkeypatch):
         return clock
 
     return install
+
+
+def _label(code):
+    """module.qualname of a code object, e.g. base.SchemeInstance.sign."""
+    return f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
+class WindowProfiler:
+    """A perf_counter_ns stand-in that records what each timed window enters.
+
+    Odd reads open a window and turn a sys.setprofile hook on, even
+    reads close it and turn the hook off. windows[k] lists, in order, the
+    Python frames entered between the reads of window k (the closing
+    read's own frame excluded).
+    """
+
+    def __init__(self):
+        self.reads = 0
+        self.windows = []
+
+    def __call__(self):
+        self.reads += 1
+        if self.reads % 2:
+            self.windows.append([])
+            sys.setprofile(self._profile)
+        else:
+            sys.setprofile(None)
+        return self.reads
+
+    def _profile(self, frame, event, arg):
+        if event == "call" and frame.f_code is not WindowProfiler.__call__.__code__:
+            self.windows[-1].append(_label(frame.f_code))
+
+
+class NullBackend(SchemeBackend):
+    def keypair(self):
+        return b"p", b"s"
+
+    def sign(self, secret_key, message):
+        return b"s"
+
+    def verify(self, public_key, message, signature):
+        return True
 
 
 class RecordingBackend(StubBackend):
@@ -330,6 +375,38 @@ class TestBenchmarkVariant:
         ):
             benchmark_variant(SchemeInstance(make_stub_descriptor(), backend), plan)
         assert len(backend.verified) == plan.warmup + 20
+
+    def test_timed_windows_enter_only_the_op(self, monkeypatch):
+        profiler = WindowProfiler()
+        monkeypatch.setattr("chainsig.bench.time.perf_counter_ns", profiler)
+        plan = RunPlan(warmup=3, runs=20)
+        try:
+            benchmark_variant(SchemeInstance(make_stub_descriptor(), NullBackend()), plan)
+        finally:
+            sys.setprofile(None)
+        assert profiler.reads == 3 * 2 * plan.runs
+        runs = plan.runs
+        entered = {
+            op: {tuple(window) for window in profiler.windows[k * runs:(k + 1) * runs]}
+            for k, op in enumerate(("keypair", "sign", "verify"))
+        }
+        checked_verify = next(
+            const for const in benchmark_variant.__code__.co_consts
+            if getattr(const, "co_name", None) == "checked_verify"
+        )
+        assert entered == {
+            "keypair": {
+                (_label(SchemeInstance.keypair.__code__), _label(NullBackend.keypair.__code__))
+            },
+            "sign": {(_label(SchemeInstance.sign.__code__), _label(NullBackend.sign.__code__))},
+            "verify": {
+                (
+                    _label(checked_verify),
+                    _label(SchemeInstance.verify.__code__),
+                    _label(NullBackend.verify.__code__),
+                )
+            },
+        }
 
     def test_host_is_not_probed(self, monkeypatch):
         def no_probe(*args, **kwargs):

@@ -82,7 +82,68 @@ class TestStubBackend:
         assert backend.verify(pk, b"m", backend.sign(sk, b"m")) is False
 
 
+class RaisingBackend(StubBackend):
+    """Stub whose every op raises the given exception."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def keypair(self):
+        raise self.error
+
+    def sign(self, secret_key, message):
+        raise self.error
+
+    def verify(self, public_key, message, signature):
+        raise self.error
+
+
+_OPS = {
+    "keypair": lambda instance: instance.keypair(),
+    "sign": lambda instance: instance.sign(b"k", b"m"),
+    "verify": lambda instance: instance.verify(b"k", b"m", b"s"),
+}
+
+
 class TestInstanceGuards:
+    @pytest.mark.parametrize("op", sorted(_OPS))
+    def test_chainsig_error_passes_through(self, op):
+        error = BackendFailure("malformed key bytes")
+        instance = SchemeInstance(make_stub_descriptor(), RaisingBackend(error))
+        with pytest.raises(BackendFailure) as info:
+            _OPS[op](instance)
+        assert info.value is error
+        assert str(info.value) == "malformed key bytes"
+
+    @pytest.mark.parametrize("op", ["keypair", "verify"])
+    def test_other_backend_exceptions_wrapped(self, op):
+        error = RuntimeError("boom")
+        instance = SchemeInstance(make_stub_descriptor(), RaisingBackend(error))
+        with pytest.raises(BackendFailure) as info:
+            _OPS[op](instance)
+        assert str(info.value) == f"Stub-A: {op} failed in backend: boom"
+        assert info.value.__cause__ is error
+
+    def test_bytearray_results_become_bytes(self):
+        class BytearrayBackend(StubBackend):
+            def keypair(self):
+                return bytearray(b"pk"), bytearray(b"sk")
+
+            def sign(self, secret_key, message):
+                return bytearray(b"sig")
+
+        instance = SchemeInstance(make_stub_descriptor(), BytearrayBackend())
+        public_key, secret_key = instance.keypair()
+        signature = instance.sign(secret_key, b"m")
+        assert [type(value) for value in (public_key, secret_key, signature)] == [bytes] * 3
+        assert (public_key, secret_key, signature) == (b"pk", b"sk", b"sig")
+
+    def test_keypair_is_a_pair(self):
+        pair = make_stub_instance().keypair()
+        assert isinstance(pair, tuple)
+        assert len(pair) == 2
+
     def test_backend_exception_wrapped(self):
         class ExplodingBackend(StubBackend):
             def sign(self, secret_key, message):
@@ -229,7 +290,7 @@ class TestRealBackends:
 
     def test_keypairs_are_fresh(self, variant):
         instance = instantiate_or_skip(variant)
-        seen = {instance.keypair().public_key for _ in range(3)}
+        seen = {instance.keypair()[0] for _ in range(3)}
         assert len(seen) == 3
 
 
