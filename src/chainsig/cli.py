@@ -7,6 +7,7 @@ skipped, or an empty selection), 1 fatal error or bad usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import io
@@ -16,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bench import (
     BenchmarkRecord,
@@ -31,6 +32,7 @@ from .report import (
     LevelGroup,
     Operation,
     ReportDataset,
+    ReportRow,
     Stage,
     level_group,
     parse_csv,
@@ -39,7 +41,8 @@ from .report import (
     write_csv,
 )
 from .schemes import (
-    FAMILY_ORDER, VALID_LEVELS, by_variant, catalog, filter_by_levels, instantiate
+    FAMILY_ORDER, VALID_LEVELS, VariantDescriptor, by_variant, catalog, filter_by_levels,
+    instantiate,
 )
 from .sim import ChainModel, SimulationConfig, config_echo, simulate_batch
 
@@ -90,7 +93,6 @@ class CliConfig:
     output_dir: Path = Path("chainsig-results")
     families: tuple[str, ...] | None = None
     message_len: int = RunPlan.message_len
-    skip_benchmark: bool = False
     skip_simulation: bool = False
     replay_benchmarks: Path | None = None
 
@@ -188,11 +190,6 @@ def _build_parser() -> _Parser:
         help=f"signed message length in bytes (default {default['message_len']})",
     )
     parser.add_argument(
-        "--skip-benchmark",
-        action="store_true",
-        help="do not measure; requires --replay-benchmarks unless simulation is skipped too",
-    )
-    parser.add_argument(
         "--skip-simulation",
         action="store_true",
         help="stop after the benchmark stage",
@@ -208,25 +205,14 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv: Sequence[str]) -> CliConfig:
     """Translate argv into a CliConfig; raises UsageError on bad input."""
-    parser = _build_parser()
-    given = vars(parser.parse_args(list(argv)))
+    given = vars(_build_parser().parse_args(list(argv)))
     if "levels" in given:
         given["levels"] = frozenset(given["levels"])
     if "models" in given:
         given["models"] = tuple(ChainModel(value) for value in sorted(set(given["models"])))
     if "families" in given:
         given["families"] = tuple(dict.fromkeys(given["families"]))
-    config = replace(CliConfig(), **given)
-    if (
-        config.skip_benchmark
-        and config.replay_benchmarks is None
-        and not config.skip_simulation
-    ):
-        parser.error(
-            "argument --skip-benchmark: simulation needs verify statistics;"
-            " provide --replay-benchmarks or add --skip-simulation"
-        )
-    return config
+    return replace(CliConfig(), **given)
 
 
 def _config_comments(config: CliConfig) -> list[str]:
@@ -234,82 +220,165 @@ def _config_comments(config: CliConfig) -> list[str]:
     return [f"{name}={_text(plain[name], ',')}" for name in _COMMENTED]
 
 
-def _emit_charts(
-    dataset: ReportDataset,
-    series: tuple[Operation, ...],
-    title_prefix: str,
-    slug_prefix: str,
-    output_dir: Path,
-) -> list[str]:
-    names = []
-    for group in LevelGroup:
-        if not any(level_group(row.level) is group for row in dataset.rows):
-            continue
-        name = f"{slug_prefix}_{group.name.lower()}.svg"
-        render_bar_chart(
-            dataset, f"{title_prefix}, {group.value}", group, series, output_dir / name
-        )
-        names.append(name)
-    return names
+@contextlib.contextmanager
+def _timed(timings: dict[str, float], key: str) -> Iterator[None]:
+    """Record the block's wall seconds under timings[key] once it completes."""
+    started = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - started
 
 
-def _elapsed(started: float) -> float:
-    return time.perf_counter() - started
+def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
+    """A replay CSV's rows, and the `replayed_from` entry that names them.
 
-
-def _read_replay(path: Path) -> tuple[ReportDataset, str]:
-    """A replay CSV's rows and the sha256 of the bytes they were parsed from.
-
-    The file is read once and decoded as Path.read_text decodes it.
+    The file is read once and decoded as Path.read_text decodes it, so the
+    sha256 is that of the bytes parsed. Rows from more than one machine, or
+    whose labels are not the catalog's, are refused with IoFailure.
     """
     try:
         data = path.read_bytes()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return parse_csv(io.StringIO(text)), hashlib.sha256(data).hexdigest()
+    rows = parse_csv(io.StringIO(text)).rows
+    machines = sorted({row.machine for row in rows})
+    if len(machines) > 1:
+        raise IoFailure(
+            f"{path}: rows from {len(machines)} machines"
+            f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
+        )
+    # every row keeps its labels through the simulation stage, so they
+    # must be the catalog's
+    known = by_variant()
+    for row in rows:
+        descriptor = known.get(row.variant)
+        if descriptor is None:
+            raise IoFailure(
+                f"{path}: {row.variant} (labelled {row.family}"
+                f" level {row.level}) is not in the catalog"
+            )
+        if (row.family, row.level) != (descriptor.family, descriptor.level):
+            raise IoFailure(
+                f"{path}: {row.variant} is labelled {row.family}"
+                f" level {row.level}, but the catalog has {descriptor.family}"
+                f" level {descriptor.level}"
+            )
+    return rows, {
+        "path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "machines": machines
+    }
+
+
+def _replayed(
+    rows: tuple[ReportRow, ...], selected: list[VariantDescriptor]
+) -> tuple[ReportDataset, list[dict[str, str]]]:
+    """The selected variants' replayed benchmark rows, and a skip entry for each without rows."""
+    wanted = {descriptor.variant for descriptor in selected}
+    dataset = ReportDataset(
+        tuple(row for row in rows if row.stage is Stage.BENCHMARK and row.variant in wanted)
+    )
+    present = {row.variant for row in dataset.rows}
+    skipped: list[dict[str, str]] = []
+    for descriptor in selected:
+        if descriptor.variant not in present:
+            reason = "not present in the replayed benchmark CSV"
+            logger.warning("skipping %s: %s", descriptor.variant, reason)
+            skipped.append({"variant": descriptor.variant, "reason": reason})
+    return dataset, skipped
+
+
+def _measure(
+    selected: list[VariantDescriptor], plan: RunPlan
+) -> tuple[list[BenchmarkRecord], list[dict[str, str]], dict[str, float]]:
+    """Measure each selected variant: the records, skip entries and seconds per tried variant."""
+    records: list[BenchmarkRecord] = []
+    skipped: list[dict[str, str]] = []
+    seconds: dict[str, float] = {}
+    for done, descriptor in enumerate(selected, start=1):
+        variant = descriptor.variant
+        with _timed(seconds, variant):
+            try:
+                records.append(benchmark_variant(instantiate(descriptor), plan))
+            except (UnsupportedVariant, CorrectnessViolation) as exc:
+                logger.warning("skipping %s: %s", variant, exc)
+                skipped.append({"variant": variant, "reason": str(exc)})
+                continue
+        logger.info(
+            "%s measured in %.2f s (%d/%d, ETA %.1f s)",
+            variant, seconds[variant], done, len(selected),
+            sum(seconds.values()) / done * (len(selected) - done),
+        )
+    return records, skipped, seconds
+
+
+def _simulate(
+    rows: tuple[ReportRow, ...], sim_configs: dict[ChainModel, SimulationConfig]
+) -> ReportDataset:
+    """Per verify row and model: the row, with the simulated batch's statistics."""
+    sim_rows = []
+    for row in rows:
+        if row.operation is not Operation.VERIFY:
+            continue
+        stat = StatSummary(mean_ms=row.mean_ms, std_ms=row.std_ms, n=row.n)
+        for model, sim_config in sim_configs.items():
+            batch = simulate_batch(sim_config, stat)
+            sim_rows.append(
+                replace(
+                    row,
+                    stage=Stage.SIMULATION,
+                    model=model,
+                    mean_ms=batch.mean_ms,
+                    std_ms=batch.std_ms,
+                    n=batch.n,
+                )
+            )
+    return ReportDataset(tuple(sim_rows))
+
+
+def _write_report(
+    output_dir: Path,
+    name: str,
+    dataset: ReportDataset,
+    comments: list[str],
+    charts: Sequence[tuple[ReportDataset, tuple[Operation, ...], str, str]],
+) -> list[str]:
+    """Write dataset to <name>.csv, then the charts; the file names written, in order.
+
+    Each (rows, series, title, prefix) in charts gets one chart per level
+    group its rows reach.
+    """
+    csv_path = output_dir / f"{name}.csv"
+    write_csv(dataset, csv_path, comments=comments)
+    written = [csv_path.name]
+    for rows, series, title, prefix in charts:
+        for group in LevelGroup:
+            if any(level_group(row.level) is group for row in rows.rows):
+                chart = f"{prefix}_{group.name.lower()}.svg"
+                render_bar_chart(rows, f"{title}, {group.value}", group, series, output_dir / chart)
+                written.append(chart)
+    return written
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    try:
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def run_pipeline(config: CliConfig) -> int:
-    """Execute benchmark, simulation and reporting per config."""
+    """Execute benchmark, simulation and reporting per config.
+
+    A run measures exactly when no replay CSV is given.
+    """
+    timings: dict[str, float] = {}
     replayed_from: dict | None = None
-    replaying = config.replay_benchmarks is not None
-    if replaying:
+    if config.replay_benchmarks is not None:
         # a refused replay CSV fails before anything is created on disk
-        started = time.perf_counter()
-        replayed, sha256 = _read_replay(config.replay_benchmarks)
-        machines = sorted({row.machine for row in replayed.rows})
-        if len(machines) > 1:
-            raise IoFailure(
-                f"{config.replay_benchmarks}: rows from {len(machines)} machines"
-                f" ({', '.join(map(repr, machines))}); a replay CSV must come from one host"
-            )
-        # every row keeps its labels through the simulation stage, so they
-        # must be the catalog's
-        known = by_variant()
-        for row in replayed.rows:
-            descriptor = known.get(row.variant)
-            if descriptor is None:
-                raise IoFailure(
-                    f"{config.replay_benchmarks}: {row.variant} (labelled {row.family}"
-                    f" level {row.level}) is not in the catalog"
-                )
-            if (row.family, row.level) != (descriptor.family, descriptor.level):
-                raise IoFailure(
-                    f"{config.replay_benchmarks}: {row.variant} is labelled {row.family}"
-                    f" level {row.level}, but the catalog has {descriptor.family}"
-                    f" level {descriptor.level}"
-                )
-        replayed_from = {
-            "path": str(config.replay_benchmarks),
-            "sha256": sha256,
-            "machines": machines,
-        }
+        with _timed(timings, "replay"):
+            replayed, replayed_from = _load_replay(config.replay_benchmarks)
         logger.info(
             "replay: %d rows read from %s in %.2f s",
-            len(replayed.rows),
-            config.replay_benchmarks,
-            _elapsed(started),
+            len(replayed), config.replay_benchmarks, timings["replay"],
         )
 
     output_dir = config.output_dir
@@ -321,162 +390,90 @@ def run_pipeline(config: CliConfig) -> int:
     selected = filter_by_levels(catalog(), config.levels)
     if config.families is not None:
         selected = [d for d in selected if d.family in config.families]
-    selected_variants = {d.variant for d in selected}
     if not selected:
         logger.warning("no variants at the selected levels")
 
-    skipped: list[dict[str, str]] = []
     # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None
-    bench_dataset = ReportDataset(())
-
-    if replaying:
-        bench_dataset = ReportDataset(
-            tuple(
-                row
-                for row in replayed.rows
-                if row.stage is Stage.BENCHMARK and row.variant in selected_variants
-            )
-        )
-        present = {row.variant for row in bench_dataset.rows}
-        for descriptor in selected:
-            if descriptor.variant not in present:
-                reason = "not present in the replayed benchmark CSV"
-                logger.warning("skipping %s: %s", descriptor.variant, reason)
-                skipped.append({"variant": descriptor.variant, "reason": reason})
-    elif not config.skip_benchmark:
-        started = time.perf_counter()
-        environment = probe_environment()
+    variant_seconds: dict[str, float] = {}
+    if replayed_from is not None:
+        bench_dataset, skipped = _replayed(replayed, selected)
+    else:
+        with _timed(timings, "probe"):
+            environment = probe_environment()
         logger.info(
             "host: %s, timer resolution %.0f ns, probed in %.2f s",
-            environment.cpu_model,
-            environment.timer_resolution_ns,
-            _elapsed(started),
+            environment.cpu_model, environment.timer_resolution_ns, timings["probe"],
         )
-        plan = RunPlan(
-            warmup=config.warmup, runs=config.runs, message_len=config.message_len
-        )
-        records: list[BenchmarkRecord] = []
-        started = time.perf_counter()
-        for done, descriptor in enumerate(selected, start=1):
-            variant_started = time.perf_counter()
-            try:
-                instance = instantiate(descriptor)
-            except UnsupportedVariant as exc:
-                logger.warning("skipping %s: %s", descriptor.variant, exc)
-                skipped.append({"variant": descriptor.variant, "reason": str(exc)})
-                continue
-            try:
-                records.append(benchmark_variant(instance, plan))
-            except CorrectnessViolation as exc:
-                logger.warning("skipping %s: %s", descriptor.variant, exc)
-                skipped.append({"variant": descriptor.variant, "reason": str(exc)})
-                continue
-            logger.info(
-                "%s measured in %.2f s (%d/%d, ETA %.1f s)",
-                descriptor.variant,
-                _elapsed(variant_started),
-                done,
-                len(selected),
-                _elapsed(started) / done * (len(selected) - done),
-            )
+        plan = RunPlan(warmup=config.warmup, runs=config.runs, message_len=config.message_len)
+        with _timed(timings, "benchmark"):
+            records, skipped, variant_seconds = _measure(selected, plan)
         logger.info(
             "benchmark: %d of %d variants measured in %.2f s",
-            len(records),
-            len(selected),
-            _elapsed(started),
+            len(records), len(selected), timings["benchmark"],
         )
         bench_dataset = synthesize(records, machine=environment.cpu_model)
 
-    outputs: list[str] = []
-    if replaying or not config.skip_benchmark:
-        started = time.perf_counter()
-        bench_csv = output_dir / "benchmark.csv"
-        write_csv(bench_dataset, bench_csv, comments=_config_comments(config))
-        outputs.append(bench_csv.name)
-        outputs.extend(
-            _emit_charts(
-                bench_dataset,
-                (Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY),
-                "Signature operation latency",
-                "benchmark",
-                output_dir,
-            )
+    latency = (Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY)
+    with _timed(timings, "benchmark_report"):
+        outputs = _write_report(
+            output_dir,
+            "benchmark",
+            bench_dataset,
+            _config_comments(config),
+            [(bench_dataset, latency, "Signature operation latency", "benchmark")],
         )
-        logger.info("report: %d benchmark files written in %.2f s", len(outputs), _elapsed(started))
+    logger.info(
+        "report: %d benchmark files written in %.2f s", len(outputs), timings["benchmark_report"]
+    )
 
-    sim_dataset = ReportDataset(())
     if not config.skip_simulation:
-        started = time.perf_counter()
         sim_configs = {
             model: SimulationConfig(model, runs=config.runs_simulator, seed=config.seed)
             for model in config.models
         }
-        sim_rows = []
-        for row in bench_dataset.rows:
-            if row.operation is not Operation.VERIFY:
-                continue
-            stat = StatSummary(mean_ms=row.mean_ms, std_ms=row.std_ms, n=row.n)
-            for model, sim_config in sim_configs.items():
-                batch = simulate_batch(sim_config, stat)
-                sim_rows.append(
-                    replace(
-                        row,
-                        stage=Stage.SIMULATION,
-                        model=model,
-                        mean_ms=batch.mean_ms,
-                        std_ms=batch.std_ms,
-                        n=batch.n,
-                    )
-                )
-        sim_dataset = ReportDataset(tuple(sim_rows))
-        logger.info("simulation: %d batches in %.2f s", len(sim_rows), _elapsed(started))
+        with _timed(timings, "simulation"):
+            sim_dataset = _simulate(bench_dataset.rows, sim_configs)
+        logger.info(
+            "simulation: %d batches in %.2f s", len(sim_dataset.rows), timings["simulation"]
+        )
 
-        started = time.perf_counter()
-        written = len(outputs)
         sim_comments = _config_comments(config)
         for model, sim_config in sim_configs.items():
-            prefix = model.label.lower()
-            sim_comments.extend(
-                f"{prefix}.{line}" for line in config_echo(sim_config)
-            )
-        sim_csv = output_dir / "simulation.csv"
-        write_csv(sim_dataset, sim_csv, comments=sim_comments)
-        outputs.append(sim_csv.name)
-        for model in config.models:
-            outputs.extend(
-                _emit_charts(
-                    sim_dataset.filter(model=model),
-                    (Operation.VERIFY,),
-                    f"{model.label} mean block verification time",
-                    f"simulation_{model.label.lower()}",
-                    output_dir,
-                )
+            sim_comments.extend(f"{model.label.lower()}.{line}" for line in config_echo(sim_config))
+        with _timed(timings, "simulation_report"):
+            written = _write_report(
+                output_dir,
+                "simulation",
+                sim_dataset,
+                sim_comments,
+                [
+                    (
+                        sim_dataset.filter(model=model),
+                        (Operation.VERIFY,),
+                        f"{model.label} mean block verification time",
+                        f"simulation_{model.label.lower()}",
+                    )
+                    for model in config.models
+                ],
             )
         logger.info(
             "report: %d simulation files written in %.2f s",
-            len(outputs) - written,
-            _elapsed(started),
+            len(written), timings["simulation_report"],
         )
+        outputs.extend(written)
 
     manifest = {
         "config": config.to_dict(),
         "environment": asdict(environment) if environment is not None else None,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "skipped": skipped,
         "outputs": outputs,
+        "timings": {"stages": timings, "variants": variant_seconds},
     }
     if replayed_from is not None:
         manifest["replayed_from"] = replayed_from
-    manifest_path = output_dir / "manifest.json"
-    try:
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {manifest_path}: {exc}") from exc
+    _write_manifest(output_dir / "manifest.json", manifest)
 
     if skipped or not selected:
         return 2

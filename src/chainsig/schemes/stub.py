@@ -61,13 +61,6 @@ class StubBackend(SchemeBackend):
         return hmac.compare_digest(self._tag(public_key, message), signature)
 
 
-class BrokenStubBackend(StubBackend):
-    """Stub whose verify always fails; exercises CorrectnessViolation paths."""
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        return False
-
-
 class StubProvider(Provider):
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not descriptor.variant:

@@ -31,6 +31,13 @@ def close(a: float, b: float, tol: float = 1e-12) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+class BrokenStubBackend(StubBackend):
+    """Stub whose verify always fails; exercises CorrectnessViolation paths."""
+
+    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        return False
+
+
 def make_stub_descriptor(
     variant: str = "Stub-A",
     family: str = "Stub",

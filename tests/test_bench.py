@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from chainsig.bench import (
 )
 from chainsig.errors import ClockUnavailable, CorrectnessViolation, EmptySamples
 from chainsig.schemes.base import SchemeBackend, SchemeInstance
-from chainsig.schemes.stub import BrokenStubBackend, StubBackend
+from chainsig.schemes.stub import StubBackend
 from conftest import (
+    BrokenStubBackend,
     close,
     make_stub_descriptor,
     make_stub_instance,
@@ -103,6 +105,27 @@ class NullBackend(SchemeBackend):
 
     def verify(self, public_key, message, signature):
         return True
+
+
+class ClockedBackend(StubBackend):
+    """Stub whose every op advances a FakeClock by exactly cost_ns."""
+
+    def __init__(self, clock, cost_ns):
+        super().__init__()
+        self.clock = clock
+        self.cost_ns = cost_ns
+
+    def keypair(self):
+        self.clock.now += self.cost_ns
+        return super().keypair()
+
+    def sign(self, secret_key, message):
+        self.clock.now += self.cost_ns
+        return super().sign(secret_key, message)
+
+    def verify(self, public_key, message, signature):
+        self.clock.now += self.cost_ns
+        return super().verify(public_key, message, signature)
 
 
 class RecordingBackend(StubBackend):
@@ -334,15 +357,29 @@ class TestBenchmarkVariant:
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
             assert stat.n == 30
 
-    def test_known_delay_recovered(self):
-        instance = make_stub_instance(
-            keypair_ms=1.0, sign_ms=1.0, verify_ms=1.0
-        )
+    def test_known_delay_recovered_on_a_fake_clock(self, fake_clock):
+        clock = fake_clock()
+        backend = ClockedBackend(clock, cost_ns=1_000_000)
         plan = RunPlan(warmup=2, runs=25)
-        record = benchmark_variant(instance, plan)
+        record = benchmark_variant(SchemeInstance(make_stub_descriptor(), backend), plan)
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
-            assert 1.0 <= stat.mean_ms <= 1.35
-            assert stat.std_ms < 0.25 * stat.mean_ms
+            assert stat == StatSummary(mean_ms=1.0, std_ms=0.0, n=25)
+
+    def test_known_delay_recovered_against_a_zero_delay_stub(self):
+        # blocks of the 1 ms stub alternate with blocks of a zero-delay
+        # stub, so drift on the host moves both sides of a block's
+        # difference alike, and the median drops the blocks a stall hit
+        delayed = make_stub_instance(keypair_ms=1.0, sign_ms=1.0, verify_ms=1.0)
+        bare = make_stub_instance()
+        plan = RunPlan(warmup=1, runs=5)
+        differences = {"keypair_stat": [], "sign_stat": [], "verify_stat": []}
+        for _ in range(25):
+            slow = benchmark_variant(delayed, plan)
+            fast = benchmark_variant(bare, plan)
+            for name, block in differences.items():
+                block.append(getattr(slow, name).mean_ms - getattr(fast, name).mean_ms)
+        for name, block in differences.items():
+            assert 1.0 <= statistics.median(block) <= 1.35, (name, sorted(block))
 
     def test_broken_backend_rejected_before_measurement(self):
         instance = SchemeInstance(make_stub_descriptor(), BrokenStubBackend())

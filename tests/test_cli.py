@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,7 +46,6 @@ class TestParseArgs:
         assert config.output_dir == Path("chainsig-results")
         assert config.families is None
         assert config.message_len == 32
-        assert not config.skip_benchmark
         assert not config.skip_simulation
         assert config.replay_benchmarks is None
 
@@ -90,22 +91,16 @@ class TestParseArgs:
                 "250",
                 "--message-len",
                 "64",
+                "--replay-benchmarks",
+                str(tmp_path / "b.csv"),
+                "--skip-simulation",
             ]
         )
         assert config.output_dir == tmp_path / "out"
         assert config.runs_simulator == 250
         assert config.message_len == 64
-
-    def test_skip_benchmark_with_replay_ok(self, tmp_path):
-        config = parse_args(
-            ["--skip-benchmark", "--replay-benchmarks", str(tmp_path / "b.csv")]
-        )
-        assert config.skip_benchmark
         assert config.replay_benchmarks == tmp_path / "b.csv"
-
-    def test_skip_both_stages_ok(self):
-        config = parse_args(["--skip-benchmark", "--skip-simulation"])
-        assert config.skip_benchmark and config.skip_simulation
+        assert config.skip_simulation
 
     @pytest.mark.parametrize(
         "argv",
@@ -142,7 +137,6 @@ class TestConfigSerialization:
             "output_dir": "chainsig-results",
             "families": None,
             "message_len": 32,
-            "skip_benchmark": False,
             "skip_simulation": False,
             "replay_benchmarks": None,
         }
@@ -158,7 +152,6 @@ class TestConfigSerialization:
             output_dir=tmp_path / "results",
             families=("Falcon",),
             message_len=16,
-            skip_benchmark=False,
             skip_simulation=True,
             replay_benchmarks=tmp_path / "prior.csv",
         )
@@ -172,7 +165,6 @@ class TestConfigSerialization:
             "output_dir": str(tmp_path / "results"),
             "families": ["Falcon"],
             "message_len": 16,
-            "skip_benchmark": False,
             "skip_simulation": True,
             "replay_benchmarks": str(tmp_path / "prior.csv"),
         }
@@ -219,6 +211,35 @@ def write_replay(path: Path, labels) -> Path:
     )
     write_csv(ReportDataset(rows), path)
     return path
+
+
+#: the INFO lines that print elapsed seconds, and the timings key each
+#: prints; None stands for the variant the line names
+_TIMED_LINES = (
+    (r"replay: \d+ rows read from .+ in (?P<seconds>\d+\.\d\d) s", "replay"),
+    (r"host: .+, probed in (?P<seconds>\d+\.\d\d) s", "probe"),
+    (r"(?P<variant>\S+) measured in (?P<seconds>\d+\.\d\d) s \(.+\)", None),
+    (r"benchmark: .+ measured in (?P<seconds>\d+\.\d\d) s", "benchmark"),
+    (r"report: \d+ benchmark files written in (?P<seconds>\d+\.\d\d) s", "benchmark_report"),
+    (r"simulation: \d+ batches in (?P<seconds>\d+\.\d\d) s", "simulation"),
+    (
+        r"report: \d+ simulation files written in (?P<seconds>\d+\.\d\d) s",
+        "simulation_report",
+    ),
+)
+
+
+def _logged_seconds(caplog) -> dict[str, float]:
+    """{timings key: the seconds its INFO line printed} over the captured chainsig.cli lines."""
+    logged = {}
+    for record in caplog.records:
+        if record.name != "chainsig.cli":
+            continue
+        for pattern, key in _TIMED_LINES:
+            match = re.fullmatch(pattern, record.getMessage())
+            if match:
+                logged[key or match["variant"]] = float(match["seconds"])
+    return logged
 
 
 class TestRunPipeline:
@@ -351,6 +372,61 @@ class TestRunPipeline:
         for line, pattern in zip(lines, patterns):
             assert re.fullmatch(pattern, line), line
 
+    @pytest.mark.parametrize(
+        "replay,skip_simulation,stages",
+        [
+            (False, False, {"probe", "benchmark", "benchmark_report", "simulation",
+                            "simulation_report"}),
+            (True, False, {"replay", "benchmark_report", "simulation", "simulation_report"}),
+            (False, True, {"probe", "benchmark", "benchmark_report"}),
+            (True, True, {"replay", "benchmark_report"}),
+        ],
+        ids=["live", "replay", "live-skip-simulation", "replay-skip-simulation"],
+    )
+    def test_manifest_timings_match_the_log(
+        self, tmp_path, stub_provider, caplog, replay, skip_simulation, stages
+    ):
+        level_2 = [(d.family, d.variant, d.level) for d in catalog() if d.level == 2]
+        config = tiny_config(
+            tmp_path,
+            replay_benchmarks=write_replay(tmp_path / "replay.csv", level_2) if replay else None,
+            skip_simulation=skip_simulation,
+        )
+        caplog.set_level(logging.INFO, logger="chainsig.cli")
+        assert run_pipeline(config) == 0
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        timings = manifest["timings"]
+        assert set(timings["stages"]) == stages
+        assert set(timings["variants"]) == (set() if replay else {v for _, v, _ in level_2})
+        seconds = {**timings["stages"], **timings["variants"]}
+        assert all(value >= 0 for value in seconds.values())
+        assert _logged_seconds(caplog) == {key: round(value, 2) for key, value in seconds.items()}
+
+    def test_each_stage_is_timed_once(self, tmp_path, stub_provider, caplog, monkeypatch):
+        # every clock read advances 1.25 s, so each figure counts the reads
+        # inside its stage, and a line that read a clock of its own would
+        # print another figure than the manifest records
+        reads = itertools.count()
+        clock = SimpleNamespace(perf_counter=lambda: 1.25 * next(reads))
+        monkeypatch.setattr("chainsig.cli.time", clock)
+        caplog.set_level(logging.INFO, logger="chainsig.cli")
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["timings"] == {
+            "stages": {
+                "probe": 1.25,
+                "benchmark": 6.25,
+                "benchmark_report": 1.25,
+                "simulation": 1.25,
+                "simulation_report": 1.25,
+            },
+            "variants": {"ML-DSA-44": 1.25, "Dilithium2": 1.25},
+        }
+        assert _logged_seconds(caplog) == {
+            **manifest["timings"]["stages"], **manifest["timings"]["variants"]
+        }
+
     def test_replay_logs_its_read(self, tmp_path, stub_provider, caplog):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
         run_pipeline(source)
@@ -393,6 +469,9 @@ class TestRunPipeline:
         skipped = {entry["variant"] for entry in manifest["skipped"]}
         assert "Falcon-512" in skipped
         assert len(skipped) == 13
+        # every variant the run tried has its seconds, skipped ones too
+        tried = {d.variant for d in catalog() if d.level == 1}
+        assert set(manifest["timings"]["variants"]) == tried
 
     def test_replay_skips_measurement(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
@@ -498,6 +577,14 @@ class TestRunPipeline:
 
 
 class TestMain:
+    def test_skip_benchmark_is_unrecognized(self, tmp_path, capsys):
+        # a run measures exactly when no replay CSV is given
+        assert main(["--skip-benchmark", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "chainsig: error: unrecognized arguments: --skip-benchmark"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["--runs", "0"]) == 1
         assert "error" in capsys.readouterr().err
@@ -509,7 +596,6 @@ class TestMain:
     def test_missing_replay_file_exits_1(self, tmp_path, capsys):
         code = main(
             [
-                "--skip-benchmark",
                 "--replay-benchmarks",
                 str(tmp_path / "absent.csv"),
                 "--output-dir",
@@ -524,7 +610,7 @@ class TestMain:
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\xff\xfe# bad\n")
         out = tmp_path / "out"
-        code = main(["--skip-benchmark", "--replay-benchmarks", str(bad), "--output-dir", str(out)])
+        code = main(["--replay-benchmarks", str(bad), "--output-dir", str(out)])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

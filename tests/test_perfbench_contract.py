@@ -12,7 +12,8 @@ import ast
 import importlib
 import importlib.util
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,10 +25,9 @@ from chainsig.report import LevelGroup, Operation, ReportDataset, ReportRow, Sta
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def run_module():
-    """perfbench/run.py, loaded by path with its sibling modules importable."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+def _load(name: str):
+    """perfbench/<name>.py, loaded by path with its sibling modules importable."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class is built
     sys.modules[spec.name] = module
@@ -38,6 +38,11 @@ def run_module():
         sys.path.remove(str(PERFBENCH))
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def run_module():
+    return _load("run")
 
 
 def test_every_target_resolves_to_a_callable(run_module):
@@ -104,6 +109,39 @@ def test_simulate_batch_configs_expose_int_runs_and_blocks(run_module, tmp_path,
         assert type(config.runs) is int and type(config.blocks_per_run) is int
         run_module._simulated(tracer, SimpleNamespace(start=0.0, end=0.0), None, (config,))
     assert tracer.counters["sim.blocks"] == sum(c.runs * c.blocks_per_run for c in configs)
+
+
+def test_every_target_the_pipeline_reaches_records_spans(run_module, tmp_path, monkeypatch):
+    # the tracer wraps each target where the pipeline looks it up; a stage
+    # that called one through another module would leave that target's
+    # per-layer metric reading 0, and fails here instead
+    monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
+    measured = cli.CliConfig(
+        runs=3, warmup=1, levels=frozenset({2}), runs_simulator=4, output_dir=tmp_path / "live"
+    )
+    replayed = replace(
+        measured,
+        replay_benchmarks=measured.output_dir / "benchmark.csv",
+        output_dir=tmp_path / "replay",
+    )
+    every = {span for _module, _attribute, span, _hook in run_module.TARGETS}
+    replay_reaches = {
+        "cli.run_pipeline",
+        "report.parse_csv",
+        "sim.simulate_batch",
+        "bench.summarize",
+        "report.write_csv",
+        "report.render_bar_chart",
+    }
+    spans = _load("spans")
+    for config, expected in ((measured, every - {"report.parse_csv"}), (replayed, replay_reaches)):
+        with spans.Tracer().installed(run_module.TARGETS) as tracer:
+            assert cli.run_pipeline(config) == 0
+        calls = Counter(span.name for span in tracer.spans)
+        assert set(calls) == expected
+        # both reports write a CSV; a stage writing one past the tracer
+        # would leave one of the two unseen
+        assert calls["report.write_csv"] == 2
 
 
 def _chainsig_names(path: Path) -> list[tuple[str, str]]:

@@ -22,8 +22,13 @@ from chainsig.schemes import (
 )
 from chainsig.schemes.base import Provider, SchemeInstance
 from chainsig.schemes.ecdsa import EcdsaBackend
-from chainsig.schemes.stub import BrokenStubBackend, StubBackend, StubProvider
-from conftest import instantiate_or_skip, make_stub_descriptor, make_stub_instance
+from chainsig.schemes.stub import StubBackend, StubProvider
+from conftest import (
+    BrokenStubBackend,
+    instantiate_or_skip,
+    make_stub_descriptor,
+    make_stub_instance,
+)
 
 # one representative per performance class; fast enough for every run
 SMOKE_VARIANTS = (
