@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import platform
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .errors import ClockUnavailable, CorrectnessViolation, EmptySamples
 from .schemes import SchemeInstance
@@ -141,13 +140,19 @@ def time_operation(
 
 
 def summarize(samples: Iterable[float]) -> StatSummary:
-    """Arithmetic mean and sample (n-1) standard deviation; n=1 gives std 0."""
-    array = np.asarray(list(samples), dtype=np.float64)
-    if array.size == 0:
+    """Arithmetic mean and sample (n-1) standard deviation; n=1 gives std 0.
+
+    Two passes over the samples: the mean is their correctly rounded sum
+    (math.fsum) over n, and the std is their Euclidean distance to the
+    mean (math.dist) over sqrt(n - 1).
+    """
+    values = list(samples)
+    n = len(values)
+    if n == 0:
         raise EmptySamples("cannot summarize an empty sample list")
-    mean = float(array.mean())
-    std = float(array.std(ddof=1)) if array.size > 1 else 0.0
-    return StatSummary(mean_ms=mean, std_ms=std, n=int(array.size))
+    mean = math.fsum(values) / n
+    std = math.dist(values, [mean] * n) / math.sqrt(n - 1) if n > 1 else 0.0
+    return StatSummary(mean_ms=mean, std_ms=std, n=n)
 
 
 def _random_messages(count: int, size: int) -> Iterator[bytes]:

@@ -120,7 +120,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 def _build_parser() -> _Parser:
     # flags left off the command line stay out of the namespace, so
-    # CliConfig's field defaults are the only defaults
+    # CliConfig's field defaults are the only defaults; a prefix of a flag
+    # is refused, so its meaning cannot move when a flag is added or removed
     parser = _Parser(
         prog="chainsig",
         description=(
@@ -128,6 +129,7 @@ def _build_parser() -> _Parser:
             " cost through Bitcoin and Ethereum block-verification models."
         ),
         argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
     default = {name: _text(value, " ") for name, value in CliConfig().to_dict().items()}
     parser.add_argument(

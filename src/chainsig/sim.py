@@ -35,11 +35,14 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from .bench import StatSummary, summarize
+
+# numpy is imported where a simulation first needs it, so a process that
+# only measures signatures never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -86,6 +89,8 @@ def _draws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     every verify row under the same config, so the cache holds one entry
     per chain model.
     """
+    import numpy as np
+
     sequence = np.random.SeedSequence(config.seed & _SEED_MASK)
     rng = np.random.Generator(np.random.PCG64(sequence))
     shape = (config.runs, config.blocks_per_run)
@@ -104,6 +109,8 @@ def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSu
     max(mean + std * z, 0), which equals the clamped Normal(mean, std) draw
     from the same generator bit for bit.
     """
+    import numpy as np
+
     tx_counts, z = _draws(config)
     per_signature_ms = np.maximum(verify_stat.mean_ms + verify_stat.std_ms * z, 0.0)
     return summarize((tx_counts * per_signature_ms).mean(axis=1).tolist())

@@ -15,8 +15,8 @@ from chainsig.schemes.stub import StubBackend
 def two_pass_mean_std(samples: list[float]) -> tuple[float, float]:
     """Textbook two-pass mean and sample standard deviation.
 
-    Uses exact (fsum) summation; serves as the independent oracle for
-    the vectorized implementation.
+    Uses exact (fsum) summation in both passes; serves as the oracle for
+    bench.summarize, which shares only its first pass with it.
     """
     n = len(samples)
     mean = math.fsum(samples) / n

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -192,6 +194,21 @@ class TestSummarize:
         assert close(stat.mean_ms, mean)
         assert close(stat.std_ms, std)
         assert stat.n == len(samples)
+
+    def test_matches_numpy(self):
+        # numpy.mean and numpy.std(ddof=1), the implementation summarize
+        # replaced, share no code with it or with the fsum oracle. The
+        # samples are criterion 2's draws, whose sizes never come below 4,
+        # then one list each of sizes 1, 2 and 3 from the same generator.
+        rng = np.random.default_rng(20260818)
+        sizes = itertools.chain((int(rng.integers(1, 10_001)) for _ in range(1000)), (1, 2, 3))
+        for size in sizes:
+            samples = rng.uniform(0.0, 1000.0, size=size)
+            stat = summarize(samples.tolist())
+            std = float(np.std(samples, ddof=1)) if size > 1 else 0.0
+            assert close(stat.mean_ms, float(np.mean(samples)), tol=1e-12)
+            assert close(stat.std_ms, std, tol=1e-12)
+            assert stat.n == size
 
 
 class TestRunPlan:

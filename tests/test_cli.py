@@ -585,6 +585,23 @@ class TestMain:
         ]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("prefix", ["--skip", "--skip-s"])
+    def test_abbreviated_flags_are_unrecognized(self, prefix, tmp_path, capsys):
+        # were the prefix taken as a flag, the absent replay file would end
+        # the run at once instead of measuring the catalog
+        argv = [
+            prefix,
+            "--replay-benchmarks",
+            str(tmp_path / "absent.csv"),
+            "--output-dir",
+            str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"chainsig: error: unrecognized arguments: {prefix}"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["--runs", "0"]) == 1
         assert "error" in capsys.readouterr().err
