@@ -418,7 +418,7 @@ def render_bar_chart(
                 f'<rect x="{_fmt(bar_x)}" y="{_fmt(bar_y)}" width="{_fmt(bar_w)}"'
                 f' height="{_fmt(x_axis_y - bar_y)}" fill="{_OP_COLORS[operation]}"'
                 f' data-variant="{_attr(variant)}" data-op="{operation.value}"'
-                f' data-mean="{row.mean_ms!r}"/>'
+                f' data-mean="{row.mean_ms:.4f}"/>'
             )
             if row.std_ms > 0:
                 err_x = bar_x + bar_w / 2

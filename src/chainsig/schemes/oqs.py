@@ -2,8 +2,8 @@
 
 This is the preferred backend for the PQC families: liboqs ships
 optimized (AVX2 and friends) implementations and covers Mayo and Cross,
-which have no Python wheels. The binding knows the OQS_SIG struct
-layout for the 0.12.x and 0.16.x ABIs; the layouts below must match
+which have no Python wheels. The binding reads the OQS_SIG struct of
+the 0.12.x and 0.16.x ABIs through one mirror, which must match both
 exactly, so other versions are refused rather than risking memory
 corruption.
 
@@ -11,8 +11,9 @@ Two libraries may be loaded at once. The primary (0.12.x keeps the
 round-3 Dilithium and SPHINCS+ parameter sets that newer releases
 dropped) serves every family, but its CROSS implementation predates
 version 2.x and accepts signatures whose unused padding bits were
-tampered with. When a second, newer library is present its hardened
-CROSS deserializer is preferred for the Cross family.
+tampered with. So Cross is served by the primary unless it is 0.12.x,
+then by a second library if one loads, and else by the primary after
+all; whenever a 0.12.x library serves Cross, one warning says so.
 
 The primary library is located through, in order: the CHAINSIG_LIBOQS
 environment variable, the system linker search, and a short list of
@@ -58,14 +59,18 @@ def _oqs_algorithm(variant: str) -> str:
     return variant
 
 
-class _SigStructV12(ctypes.Structure):
-    # mirror of OQS_SIG (liboqs 0.12.x)
+class _SigStruct(ctypes.Structure):
+    # mirror of OQS_SIG for every ABI in _KNOWN_ABIS. 0.16.x adds suf_cma
+    # after euf_cma, inside the padding before the lengths, so the fields
+    # read here have the same offsets, and the struct the same size, in
+    # both; the tests check this against the C compiler.
     _fields_ = [
         ("method_name", ctypes.c_char_p),
         ("alg_version", ctypes.c_char_p),
         ("claimed_nist_level", ctypes.c_uint8),
         ("euf_cma", ctypes.c_bool),
-        ("sig_with_ctx_support", ctypes.c_bool),
+        ("suf_cma", ctypes.c_bool),  # sig_with_ctx_support in 0.12.x
+        ("sig_with_ctx_support", ctypes.c_bool),  # padding in 0.12.x
         ("length_public_key", ctypes.c_size_t),
         ("length_secret_key", ctypes.c_size_t),
         ("length_signature", ctypes.c_size_t),
@@ -77,30 +82,7 @@ class _SigStructV12(ctypes.Structure):
     ]
 
 
-class _SigStructV16(ctypes.Structure):
-    # mirror of OQS_SIG (liboqs 0.16.x); adds suf_cma after euf_cma
-    _fields_ = [
-        ("method_name", ctypes.c_char_p),
-        ("alg_version", ctypes.c_char_p),
-        ("claimed_nist_level", ctypes.c_uint8),
-        ("euf_cma", ctypes.c_bool),
-        ("suf_cma", ctypes.c_bool),
-        ("sig_with_ctx_support", ctypes.c_bool),
-        ("length_public_key", ctypes.c_size_t),
-        ("length_secret_key", ctypes.c_size_t),
-        ("length_signature", ctypes.c_size_t),
-        ("keypair", ctypes.c_void_p),
-        ("sign", ctypes.c_void_p),
-        ("sign_with_ctx_str", ctypes.c_void_p),
-        ("verify", ctypes.c_void_p),
-        ("verify_with_ctx_str", ctypes.c_void_p),
-    ]
-
-
-_STRUCT_FOR_ABI = {
-    "0.12.": _SigStructV12,
-    "0.16.": _SigStructV16,
-}
+_KNOWN_ABIS = ("0.12.", "0.16.")
 
 # CROSS implementations before 2.x (shipped with liboqs 0.13) skip the
 # zero-padding checks during deserialization, so a signature stays
@@ -150,30 +132,27 @@ class _Library:
         cdll.OQS_version.restype = ctypes.c_char_p
         cdll.OQS_version.argtypes = []
         version = cdll.OQS_version().decode()
-        struct = next(
-            (s for prefix, s in _STRUCT_FOR_ABI.items() if version.startswith(prefix)),
-            None,
-        )
-        if struct is None:
-            known = ", ".join(p + "x" for p in _STRUCT_FOR_ABI)
+        if not version.startswith(_KNOWN_ABIS):
+            known = ", ".join(p + "x" for p in _KNOWN_ABIS)
             raise OqsLoadError(
                 f"{path} is liboqs {version}; this binding targets {known}"
             )
+        sig_p = ctypes.POINTER(_SigStruct)
         cdll.OQS_init.restype = None
         cdll.OQS_init.argtypes = []
-        cdll.OQS_SIG_new.restype = ctypes.POINTER(struct)
+        cdll.OQS_SIG_new.restype = sig_p
         cdll.OQS_SIG_new.argtypes = [ctypes.c_char_p]
         cdll.OQS_SIG_free.restype = None
-        cdll.OQS_SIG_free.argtypes = [ctypes.POINTER(struct)]
+        cdll.OQS_SIG_free.argtypes = [sig_p]
         cdll.OQS_SIG_keypair.restype = ctypes.c_int
         cdll.OQS_SIG_keypair.argtypes = [
-            ctypes.POINTER(struct),
+            sig_p,
             ctypes.c_char_p,
             ctypes.c_char_p,
         ]
         cdll.OQS_SIG_sign.restype = ctypes.c_int
         cdll.OQS_SIG_sign.argtypes = [
-            ctypes.POINTER(struct),
+            sig_p,
             ctypes.c_char_p,
             ctypes.POINTER(ctypes.c_size_t),
             ctypes.c_char_p,
@@ -182,7 +161,7 @@ class _Library:
         ]
         cdll.OQS_SIG_verify.restype = ctypes.c_int
         cdll.OQS_SIG_verify.argtypes = [
-            ctypes.POINTER(struct),
+            sig_p,
             ctypes.c_char_p,
             ctypes.c_size_t,
             ctypes.c_char_p,
@@ -289,7 +268,6 @@ class OqsProvider(Provider):
         self._probed = False
         self._cross_lib: _Library | None = None
         self._cross_probed = False
-        self._warned_malleable_cross = False
 
     def _load(self) -> _Library | None:
         if not self._probed:
@@ -309,27 +287,25 @@ class OqsProvider(Provider):
             return primary
         if not self._cross_probed:
             self._cross_probed = True
+            reason = ""
             try:
                 self._cross_lib = _load_library(
                     _cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS"
                 )
             except OqsLoadError as exc:
-                logger.debug("no dedicated Cross library: %s", exc)
-        if self._cross_lib is not None:
-            return self._cross_lib
-        if primary is not None and not self._warned_malleable_cross:
-            self._warned_malleable_cross = True
-            logger.warning(
-                "serving Cross from liboqs %s, whose verifier ignores "
-                "signature padding bits; tampered padding is not rejected",
-                primary.version,
-            )
-        return primary
-
-    def _library_for(self, variant: str) -> _Library | None:
-        if variant.startswith("Cross-"):
-            return self._load_cross()
-        return self._load()
+                reason = f"; no dedicated Cross library: {exc}"
+            served = self._cross_lib or primary
+            if served is not None and served.version.startswith(
+                _MALLEABLE_CROSS_PREFIX
+            ):
+                logger.warning(
+                    "serving Cross from liboqs %s at %s, whose verifier ignores "
+                    "signature padding bits; tampered padding is not rejected%s",
+                    served.version,
+                    served.path,
+                    reason,
+                )
+        return self._cross_lib or primary
 
     def available(self) -> bool:
         """Whether liboqs loads on this host; benchmark provenance records it."""
@@ -338,7 +314,8 @@ class OqsProvider(Provider):
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not descriptor.variant.startswith(_PQC_PREFIXES):
             raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
-        lib = self._library_for(descriptor.variant)
+        cross = descriptor.variant.startswith("Cross-")
+        lib = self._load_cross() if cross else self._load()
         if lib is None:
             raise UnsupportedVariant(self._error)
         return OqsBackend(lib, _oqs_algorithm(descriptor.variant))

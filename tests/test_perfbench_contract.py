@@ -191,3 +191,19 @@ def test_provenance_providers_report_availability(provider):
     from chainsig.schemes import get_provider
 
     assert isinstance(get_provider(provider).available(), bool)
+
+
+@pytest.mark.parametrize("provider", ["oqs", "pqclean"])
+def test_provenance_availability_follows_the_library(provider, request, monkeypatch, tmp_path):
+    # a fresh provider with a stand-in library reports True, and one whose
+    # library is missing reports False
+    from chainsig.schemes import oqs, pqclean
+
+    if provider == "oqs":
+        assert request.getfixturevalue("oqs_standin")().available() is True
+        monkeypatch.setenv("CHAINSIG_LIBOQS", str(tmp_path / "missing" / "liboqs.so"))
+        assert oqs.OqsProvider().available() is False
+    else:
+        assert request.getfixturevalue("pqclean_standin").available() is True
+        monkeypatch.setitem(sys.modules, "pqcrypto.sign", None)
+        assert pqclean.PqcleanProvider().available() is False

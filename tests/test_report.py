@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -554,6 +556,34 @@ class TestRenderBarChart:
         first, second = io.StringIO(), io.StringIO()
         render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, first)
         render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, second)
+        assert first.getvalue() == second.getvalue()
+
+    def test_data_mean_is_the_csv_text(self):
+        chart, table = io.StringIO(), io.StringIO()
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, chart)
+        write_csv(chart_rows(), table)
+        csv_means = {
+            (fields[2], fields[6]): fields[7]
+            for fields in (line.split(",") for line in table.getvalue().splitlines()[1:])
+        }
+        bars = re.findall(
+            r'data-variant="([^"]+)" data-op="([^"]+)" data-mean="([^"]+)"',
+            chart.getvalue(),
+        )
+        assert len(bars) == len(csv_means)
+        for variant, op, mean in bars:
+            assert mean == csv_means[(variant, op)]
+
+    def test_one_ulp_leaves_the_bytes(self):
+        nudged = ReportDataset(
+            tuple(
+                replace(row, mean_ms=math.nextafter(row.mean_ms, math.inf))
+                for row in chart_rows().rows
+            )
+        )
+        first, second = io.StringIO(), io.StringIO()
+        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, first)
+        render_bar_chart(nudged, "t", LevelGroup.LOWER, ALL_OPS, second)
         assert first.getvalue() == second.getvalue()
 
     def test_empty_group_raises(self):

@@ -25,6 +25,7 @@ from chainsig.schemes.ecdsa import EcdsaBackend
 from chainsig.schemes.stub import StubBackend, StubProvider
 from conftest import (
     BrokenStubBackend,
+    flip_byte,
     instantiate_or_skip,
     make_stub_descriptor,
     make_stub_instance,
@@ -43,13 +44,6 @@ SMOKE_VARIANTS = (
 MESSAGE_SHAPES = (b"", b"\x00", b"hello world", os.urandom(1024))
 
 
-def _flip_byte(blob: bytes, index: int = None) -> bytes:
-    pos = len(blob) // 2 if index is None else index
-    mutated = bytearray(blob)
-    mutated[pos] ^= 0x01
-    return bytes(mutated)
-
-
 class TestStubBackend:
     def test_roundtrip(self):
         instance = make_stub_instance()
@@ -61,7 +55,7 @@ class TestStubBackend:
         instance = make_stub_instance()
         pk, sk = instance.keypair()
         sig = instance.sign(sk, b"payload")
-        assert instance.verify(pk, b"payload", _flip_byte(sig)) is False
+        assert instance.verify(pk, b"payload", flip_byte(sig)) is False
 
     def test_tampered_message_rejected(self):
         instance = make_stub_instance()
@@ -277,7 +271,7 @@ class TestRealBackends:
         pk, sk = instance.keypair()
         message = b"transaction bytes"
         sig = instance.sign(sk, message)
-        assert instance.verify(pk, message, _flip_byte(sig)) is False
+        assert instance.verify(pk, message, flip_byte(sig)) is False
 
     def test_tampered_message_rejected(self, variant):
         instance = instantiate_or_skip(variant)
@@ -332,25 +326,32 @@ def _oqs_backend_or_skip(variant_name: str):
         pytest.skip(f"{variant_name} not served by liboqs here: {exc}")
 
 
-def _oqs_instance_or_skip(variant_name: str) -> SchemeInstance:
-    return SchemeInstance(
-        by_variant()[variant_name], _oqs_backend_or_skip(variant_name)
-    )
+def _oqs_ml_dsa_44(library: str, request) -> SchemeInstance:
+    """ML-DSA-44 from the installed liboqs, or from the suite's stand-in."""
+    if library == "installed":
+        backend = _oqs_backend_or_skip("ML-DSA-44")
+    else:
+        backend = request.getfixturevalue("oqs_standin")().create(by_variant()["ML-DSA-44"])
+    return SchemeInstance(by_variant()["ML-DSA-44"], backend)
 
 
+@pytest.mark.parametrize("library", ["installed", "stand-in"])
 class TestOqsEdgeCases:
-    def test_short_secret_key_raises(self):
-        instance = _oqs_instance_or_skip("ML-DSA-44")
+    def test_short_secret_key_raises(self, library, request):
+        instance = _oqs_ml_dsa_44(library, request)
         with pytest.raises(BackendFailure, match="secret key"):
             instance.sign(b"\x00" * 8, b"m")
 
-    def test_short_public_key_raises(self):
-        instance = _oqs_instance_or_skip("ML-DSA-44")
+    def test_short_public_key_raises(self, library, request):
+        instance = _oqs_ml_dsa_44(library, request)
         with pytest.raises(BackendFailure, match="public key"):
             instance.verify(b"\x00" * 8, b"m", b"\x00" * 64)
 
-    def test_garbage_signature_is_clean_false(self):
-        instance = instantiate_or_skip("ML-DSA-44")
+    def test_garbage_signature_is_clean_false(self, library, request):
+        if library == "installed":
+            instance = instantiate_or_skip("ML-DSA-44")
+        else:
+            instance = _oqs_ml_dsa_44(library, request)
         pk, _ = instance.keypair()
         assert instance.verify(pk, b"m", b"\x00" * 100) is False
 
@@ -391,16 +392,25 @@ class TestOqsLoadDiagnostic:
         reason = self._reason()
         assert reason.startswith("CHAINSIG_LIBOQS: ") and "OQS_version" in reason
 
-    def test_unknown_abi_keeps_its_message(self, monkeypatch):
-        def wrong_abi(path):
-            if path == "/b":
-                raise oqs.OqsLoadError("/b is liboqs 0.9.0; this binding targets 0.12.x")
-            raise OSError(f"{path}: cannot open shared object file")
+    @pytest.mark.parametrize("library", ["fake", "stand-in"])
+    def test_unknown_abi_keeps_its_message(self, library, monkeypatch, request):
+        if library == "fake":
+            wrong_abi = "/b"
+            expected = "/b is liboqs 0.9.0; this binding targets 0.12.x"
 
+            def fake_library(path):
+                if path == wrong_abi:
+                    raise oqs.OqsLoadError(expected)
+                raise OSError(f"{path}: cannot open shared object file")
+
+            monkeypatch.setattr(oqs, "_Library", fake_library)
+        else:
+            wrong_abi = request.getfixturevalue("liboqs_standins")["0.13.0"]
+            expected = f"{wrong_abi} is liboqs 0.13.0; this binding targets 0.12.x, 0.16.x"
         monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
-        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(["/a", "/b", "/c"]))
-        monkeypatch.setattr(oqs, "_Library", wrong_abi)
-        assert self._reason() == "/b is liboqs 0.9.0; this binding targets 0.12.x"
+        candidates = ["/nonexistent/a/liboqs.so", wrong_abi, "/nonexistent/c/liboqs.so"]
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(candidates))
+        assert self._reason() == expected
 
 
 class TestCrossPaddingHardening:
@@ -442,7 +452,7 @@ class TestPqcleanFallback:
         pk, sk = instance.keypair()
         sig = instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig) is True
-        assert instance.verify(pk, b"m", _flip_byte(sig)) is False
+        assert instance.verify(pk, b"m", flip_byte(sig)) is False
 
     def test_dilithium_not_served_by_mldsa(self, monkeypatch):
         # round-3 Dilithium is not FIPS 204 ML-DSA: refuse before importing
