@@ -39,16 +39,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-_PQC_PREFIXES = (
-    "ML-DSA-",
-    "Dilithium",
-    "Falcon-",
-    "MAYO-",
-    "SHA2-",
-    "SHAKE-",
-    "Cross-",
-)
-
 
 def _oqs_algorithm(variant: str) -> str:
     """Map a catalog variant string to the liboqs algorithm identifier."""
@@ -308,11 +298,11 @@ class OqsProvider(Provider):
         return self._cross_lib or primary
 
     def available(self) -> bool:
-        """Whether liboqs loads on this host; benchmark provenance records it."""
-        return self._load() is not None
+        """Whether a liboqs loads here, as primary or for Cross; provenance records it."""
+        return self._load_cross() is not None
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if not descriptor.variant.startswith(_PQC_PREFIXES):
+        if not descriptor.is_pqc:
             raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
         cross = descriptor.variant.startswith("Cross-")
         lib = self._load_cross() if cross else self._load()

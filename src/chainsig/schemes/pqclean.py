@@ -92,5 +92,10 @@ class PqcleanProvider(Provider):
         module_name = _MODULES.get(descriptor.variant)
         if module_name is None:
             raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")
-        module = importlib.import_module(f"pqcrypto.sign.{module_name}")
+        try:
+            module = importlib.import_module(f"pqcrypto.sign.{module_name}")
+        except ImportError as exc:
+            raise UnsupportedVariant(
+                f"pqcrypto.sign.{module_name} not importable: {exc}"
+            ) from exc
         return PqcleanBackend(module)

@@ -49,9 +49,9 @@ def _candidates(descriptor: "VariantDescriptor") -> tuple[str, ...]:
     override = os.environ.get(PROVIDER_ENV)
     if override:
         return (override,)
-    if descriptor.family == "ECDSA":
-        return ("ecdsa",)
-    return _PQC_CANDIDATES
+    if descriptor.is_pqc:
+        return _PQC_CANDIDATES
+    return ("ecdsa",)
 
 
 def instantiate(descriptor: "VariantDescriptor") -> SchemeInstance:

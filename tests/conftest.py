@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,39 @@ class BrokenStubBackend(StubBackend):
         return False
 
 
+def _spin(duration_ms: float) -> None:
+    """Burn CPU for duration_ms; sleep() is too coarse for sub-ms delays."""
+    if duration_ms <= 0:
+        return
+    deadline = time.perf_counter_ns() + int(duration_ms * 1e6)
+    while time.perf_counter_ns() < deadline:
+        pass
+
+
+class DelayedStubBackend(StubBackend):
+    """Stub whose operations each busy-wait a fixed time first: a known
+    delay for the timing code to recover."""
+
+    def __init__(
+        self, keypair_ms: float = 0.0, sign_ms: float = 0.0, verify_ms: float = 0.0
+    ) -> None:
+        self._keypair_ms = keypair_ms
+        self._sign_ms = sign_ms
+        self._verify_ms = verify_ms
+
+    def keypair(self) -> tuple[bytes, bytes]:
+        _spin(self._keypair_ms)
+        return super().keypair()
+
+    def sign(self, secret_key: bytes, message: bytes) -> bytes:
+        _spin(self._sign_ms)
+        return super().sign(secret_key, message)
+
+    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        _spin(self._verify_ms)
+        return super().verify(public_key, message, signature)
+
+
 def make_stub_descriptor(
     variant: str = "Stub-A",
     family: str = "Stub",
@@ -71,7 +105,7 @@ def make_stub_instance(
     verify_ms: float = 0.0,
 ) -> SchemeInstance:
     descriptor = make_stub_descriptor(variant=variant, level=level)
-    backend = StubBackend(
+    backend = DelayedStubBackend(
         keypair_ms=keypair_ms, sign_ms=sign_ms, verify_ms=verify_ms
     )
     return SchemeInstance(descriptor, backend)

@@ -14,6 +14,7 @@ from chainsig.errors import BackendFailure, UnsupportedVariant
 from chainsig.schemes import (
     VariantDescriptor,
     by_variant,
+    catalog,
     get_provider,
     instantiate,
     oqs,
@@ -206,11 +207,32 @@ class TestRegistry:
         mystery = VariantDescriptor(
             family="Mystery", variant="Mystery-1", level=1, is_pqc=True
         )
-        with pytest.raises(UnsupportedVariant, match="oqs: does not serve"):
+        # is_pqc routes it to the post-quantum candidates, which both refuse
+        with pytest.raises(UnsupportedVariant, match="^oqs: .+; pqclean: .+"):
             instantiate(mystery)
         monkeypatch.setenv("CHAINSIG_PROVIDER", "ecdsa")
         with pytest.raises(UnsupportedVariant, match="^ecdsa: no curve for"):
             instantiate(by_variant()["ML-DSA-44"])
+
+    @pytest.mark.parametrize("descriptor", catalog(), ids=lambda d: d.variant)
+    def test_catalog_routing(self, monkeypatch, descriptor):
+        monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
+        expected = ("ecdsa",) if descriptor.family == "ECDSA" else ("oqs", "pqclean")
+        assert registry._candidates(descriptor) == expected
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
+        assert registry._candidates(descriptor) == ("stub",)
+
+    def test_oqs_refuses_classical_before_any_library_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("liboqs searched")
+
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "oqs")
+        monkeypatch.setenv("CHAINSIG_LIBOQS", "/nope")
+        monkeypatch.setattr(oqs, "_load_library", search)
+        monkeypatch.setattr(registry, "get_provider", {"oqs": oqs.OqsProvider()}.__getitem__)
+        with pytest.raises(UnsupportedVariant) as info:
+            instantiate(by_variant()["P-256"])
+        assert str(info.value) == "oqs: does not serve 'P-256'"
 
     def test_env_override_routes_to_stub(self, monkeypatch):
         monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")

@@ -11,16 +11,22 @@ from __future__ import annotations
 import ctypes
 import gc
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chainsig.bench import RunPlan, benchmark_variant
 from chainsig.errors import BackendFailure, UnsupportedVariant
+from chainsig.report import parse_csv
 from chainsig.schemes import by_variant, catalog
 from chainsig.schemes.base import SchemeInstance
 from chainsig.schemes.oqs import _SigStruct
 from conftest import STANDINS, flip_byte
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (public key, secret key, signature capacity) as the C stand-in enables them
 OQS_STANDIN_SIZES = {
@@ -146,6 +152,13 @@ class TestCrossLibraryChoice:
             cross is None
         )
 
+    @pytest.mark.parametrize(
+        "primary, cross, available",
+        [(None, "0.16.0", True), (None, None, False), ("0.16.0", None, True)],
+    )
+    def test_available_when_either_library_loads(self, oqs_standin, primary, cross, available):
+        assert oqs_standin(primary, cross).available() is available
+
     def test_hardened_primary_skips_the_cross_probe(self, oqs_standin, liboqs_standins, caplog):
         caplog.set_level(logging.DEBUG, logger="chainsig.schemes.oqs")
         provider = oqs_standin("0.16.0", cross="0.12.0")
@@ -181,3 +194,46 @@ class TestPqcleanStandin:
         instance = _instance(pqclean_standin, "ML-DSA-44")
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"m", instance.sign(sk, b"m")[:-1]) is False
+
+    def test_missing_variant_module_is_one_line(self, pqclean_standin):
+        with pytest.raises(UnsupportedVariant) as info:
+            pqclean_standin.create(by_variant()["Falcon-512"])
+        assert str(info.value) == (
+            "pqcrypto.sign.falcon_512 not importable: "
+            "No module named 'pqcrypto.sign.falcon_512'"
+        )
+
+    def test_cli_skips_variants_the_install_lacks(self, tmp_path):
+        # a pqcrypto that ships ML-DSA-44 alone: the run measures it and
+        # skips the other four variants, one line each
+        env = {
+            **os.environ,
+            "CHAINSIG_PROVIDER": "pqclean",
+            "PYTHONPATH": os.pathsep.join([str(SRC), str(STANDINS)]),
+        }
+        args = [
+            "--families", "ML-DSA", "Falcon", "--runs", "5", "--warm-up", "1",
+            "--skip-simulation", "--output-dir", str(tmp_path / "out"),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-m", "chainsig.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        rows = parse_csv(tmp_path / "out" / "benchmark.csv").rows
+        assert {row.variant for row in rows} == {"ML-DSA-44"}
+        skipped = [line for line in done.stderr.splitlines() if "skipping" in line]
+        assert skipped == [
+            f"WARNING skipping {variant}: pqclean: pqcrypto.sign.{module} not importable: "
+            f"No module named 'pqcrypto.sign.{module}'"
+            for variant, module in [
+                ("ML-DSA-65", "ml_dsa_65"),
+                ("ML-DSA-87", "ml_dsa_87"),
+                ("Falcon-512", "falcon_512"),
+                ("Falcon-1024", "falcon_1024"),
+            ]
+        ]
+        assert "Traceback" not in done.stderr
