@@ -27,7 +27,14 @@ from .bench import (
     benchmark_variant,
     probe_environment,
 )
-from .errors import ChainsigError, CorrectnessViolation, IoFailure, UnsupportedVariant, UsageError
+from .errors import (
+    BackendFailure,
+    ChainsigError,
+    CorrectnessViolation,
+    IoFailure,
+    UnsupportedVariant,
+    UsageError,
+)
 from .report import (
     LevelGroup,
     Operation,
@@ -300,7 +307,7 @@ def _measure(
         with _timed(seconds, variant):
             try:
                 records.append(benchmark_variant(instantiate(descriptor), plan))
-            except (UnsupportedVariant, CorrectnessViolation) as exc:
+            except (UnsupportedVariant, BackendFailure, CorrectnessViolation) as exc:
                 logger.warning("skipping %s: %s", variant, exc)
                 skipped.append({"variant": variant, "reason": str(exc)})
                 continue

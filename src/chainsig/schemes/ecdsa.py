@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from ..errors import BackendFailure, UnsupportedVariant
@@ -29,15 +30,26 @@ _CURVES = {
 # keys cross the SchemeBackend boundary as DER bytes; parsing them back
 # on every call would dominate the timings, so recently seen keys keep
 # their deserialized form here
-_CACHE_MAX = 8
+@functools.lru_cache(maxsize=8)
+def _private_key(der: bytes) -> "ec.EllipticCurvePrivateKey":
+    try:
+        return serialization.load_der_private_key(der, password=None)
+    except Exception as exc:
+        raise BackendFailure(f"malformed ECDSA secret key: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=8)
+def _public_key(der: bytes) -> "ec.EllipticCurvePublicKey":
+    try:
+        return serialization.load_der_public_key(der)
+    except Exception as exc:
+        raise BackendFailure(f"malformed ECDSA public key: {exc}") from exc
 
 
 class EcdsaBackend(SchemeBackend):
     def __init__(self, curve_name: str, hash_name: str) -> None:
         self._curve = getattr(ec, curve_name)()
         self._algo = ec.ECDSA(getattr(hashes, hash_name)())
-        self._private_cache: dict[bytes, ec.EllipticCurvePrivateKey] = {}
-        self._public_cache: dict[bytes, ec.EllipticCurvePublicKey] = {}
 
     def keypair(self) -> tuple[bytes, bytes]:
         key = ec.generate_private_key(self._curve)
@@ -52,35 +64,11 @@ class EcdsaBackend(SchemeBackend):
         )
         return public, secret
 
-    def _load_private(self, secret_key: bytes) -> "ec.EllipticCurvePrivateKey":
-        key = self._private_cache.get(secret_key)
-        if key is None:
-            try:
-                key = serialization.load_der_private_key(secret_key, password=None)
-            except Exception as exc:
-                raise BackendFailure(f"malformed ECDSA secret key: {exc}") from exc
-            if len(self._private_cache) >= _CACHE_MAX:
-                self._private_cache.clear()
-            self._private_cache[secret_key] = key
-        return key
-
-    def _load_public(self, public_key: bytes) -> "ec.EllipticCurvePublicKey":
-        key = self._public_cache.get(public_key)
-        if key is None:
-            try:
-                key = serialization.load_der_public_key(public_key)
-            except Exception as exc:
-                raise BackendFailure(f"malformed ECDSA public key: {exc}") from exc
-            if len(self._public_cache) >= _CACHE_MAX:
-                self._public_cache.clear()
-            self._public_cache[public_key] = key
-        return key
-
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return self._load_private(secret_key).sign(message, self._algo)
+        return _private_key(secret_key).sign(message, self._algo)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        key = self._load_public(public_key)
+        key = _public_key(public_key)
         try:
             key.verify(signature, message, self._algo)
             return True

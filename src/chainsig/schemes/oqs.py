@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import functools
 import logging
 import os
 import sys
@@ -169,11 +170,13 @@ def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
 
     Failures come back as one line: a library with an unknown ABI keeps
     its own message, a path set through env_var is named with its error,
-    and otherwise the search is summarized. Each path's error is logged
-    at DEBUG.
+    then the first library that is there but does not load is named with
+    its error, and otherwise the search is summarized. Each path's error
+    is logged at DEBUG.
     """
     searched = 0
     wrong_abi: OqsLoadError | None = None
+    unloadable: Exception | None = None
     last_error: Exception | None = None
     for path in candidates:
         searched += 1
@@ -185,8 +188,11 @@ def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
             continue
         except (OSError, AttributeError) as exc:
             # the loader's message already names the path; AttributeError
-            # is a library without the liboqs symbols
+            # is a library without the liboqs symbols. A bare file name is
+            # one the linker search found.
             last_error = exc
+            if os.path.exists(path) or os.path.basename(path) == path:
+                unloadable = unloadable or exc
             logger.debug("liboqs candidate rejected: %s", exc)
             continue
         logger.debug("loaded liboqs %s from %s", lib.version, lib.path)
@@ -195,6 +201,8 @@ def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
         raise wrong_abi
     if os.environ.get(env_var):
         raise OqsLoadError(f"{env_var}: {last_error}")
+    if unloadable is not None:
+        raise OqsLoadError(f"liboqs does not load: {unloadable}")
     raise OqsLoadError(
         f"liboqs not found ({searched} paths searched; set {env_var})"
     )
@@ -252,60 +260,48 @@ class OqsBackend(SchemeBackend):
 
 
 class OqsProvider(Provider):
-    def __init__(self) -> None:
-        self._lib: _Library | None = None
-        self._error: str | None = None
-        self._probed = False
-        self._cross_lib: _Library | None = None
-        self._cross_probed = False
+    @functools.cached_property
+    def _primary(self) -> _Library | OqsLoadError:
+        try:
+            return _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
+        except OqsLoadError as exc:
+            return exc
 
-    def _load(self) -> _Library | None:
-        if not self._probed:
-            self._probed = True
-            try:
-                self._lib = _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
-            except OqsLoadError as exc:
-                self._error = str(exc)
-        return self._lib
-
-    def _load_cross(self) -> _Library | None:
+    @functools.cached_property
+    def _cross(self) -> _Library | OqsLoadError:
         """The library serving the Cross family, hardened when possible."""
-        primary = self._load()
-        if primary is not None and not primary.version.startswith(
+        primary = self._primary
+        if not isinstance(primary, OqsLoadError) and not primary.version.startswith(
             _MALLEABLE_CROSS_PREFIX
         ):
             return primary
-        if not self._cross_probed:
-            self._cross_probed = True
-            reason = ""
-            try:
-                self._cross_lib = _load_library(
-                    _cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS"
-                )
-            except OqsLoadError as exc:
-                reason = f"; no dedicated Cross library: {exc}"
-            served = self._cross_lib or primary
-            if served is not None and served.version.startswith(
-                _MALLEABLE_CROSS_PREFIX
-            ):
-                logger.warning(
-                    "serving Cross from liboqs %s at %s, whose verifier ignores "
-                    "signature padding bits; tampered padding is not rejected%s",
-                    served.version,
-                    served.path,
-                    reason,
-                )
-        return self._cross_lib or primary
+        reason = ""
+        try:
+            served = _load_library(_cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS")
+        except OqsLoadError as exc:
+            reason = f"; no dedicated Cross library: {exc}"
+            served = primary
+        if not isinstance(served, OqsLoadError) and served.version.startswith(
+            _MALLEABLE_CROSS_PREFIX
+        ):
+            logger.warning(
+                "serving Cross from liboqs %s at %s, whose verifier ignores "
+                "signature padding bits; tampered padding is not rejected%s",
+                served.version,
+                served.path,
+                reason,
+            )
+        return served
 
     def available(self) -> bool:
         """Whether a liboqs loads here, as primary or for Cross; provenance records it."""
-        return self._load_cross() is not None
+        return not isinstance(self._cross, OqsLoadError)
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
         if not descriptor.is_pqc:
             raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
         cross = descriptor.variant.startswith("Cross-")
-        lib = self._load_cross() if cross else self._load()
-        if lib is None:
-            raise UnsupportedVariant(self._error)
+        lib = self._cross if cross else self._primary
+        if isinstance(lib, OqsLoadError):
+            raise UnsupportedVariant(str(lib))
         return OqsBackend(lib, _oqs_algorithm(descriptor.variant))

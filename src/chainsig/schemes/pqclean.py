@@ -41,14 +41,6 @@ _MODULES = {
 }
 
 
-def _probe() -> Exception | None:
-    try:
-        importlib.import_module("pqcrypto.sign")
-        return None
-    except ImportError as exc:
-        return exc
-
-
 class PqcleanBackend(SchemeBackend):
     def __init__(self, module: ModuleType) -> None:
         self._module = module
@@ -79,16 +71,15 @@ class PqcleanBackend(SchemeBackend):
 
 
 class PqcleanProvider(Provider):
-    def __init__(self) -> None:
-        self._import_error = _probe()
-
     def available(self) -> bool:
         """Whether pqcrypto imports on this host; benchmark provenance records it."""
-        return self._import_error is None
+        try:
+            importlib.import_module("pqcrypto.sign")
+        except ImportError:
+            return False
+        return True
 
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if self._import_error is not None:
-            raise UnsupportedVariant(f"pqcrypto not importable: {self._import_error}")
         module_name = _MODULES.get(descriptor.variant)
         if module_name is None:
             raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")

@@ -125,6 +125,25 @@ def instantiate_or_skip(variant_name: str) -> SchemeInstance:
 STANDINS = Path(__file__).parent / "standins"
 
 
+@pytest.fixture(autouse=True)
+def no_standin_left_loaded():
+    """Fail a test that leaves a module from tests/standins/ in sys.modules.
+
+    An autouse fixture is set up before the test's other fixtures, so this
+    check runs after their teardown and monkeypatch's undo. A leaked
+    pqcrypto stand-in would otherwise serve catalog rows in later tests.
+    """
+    yield
+    leaked = sorted(
+        name
+        for name, module in sys.modules.items()
+        if (getattr(module, "__file__", None) or "").startswith(str(STANDINS))
+    )
+    for name in leaked:
+        del sys.modules[name]
+    assert leaked == [], f"stand-in modules left loaded: {leaked}"
+
+
 @pytest.fixture(scope="session")
 def liboqs_standins(tmp_path_factory) -> dict[str, str]:
     """Paths of liboqs stand-in builds by version.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_catalog_loads_no_backend(monkeypatch):
 
     monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
     monkeypatch.setattr(oqs, "_load_library", refuse)
-    monkeypatch.setattr(pqclean, "_probe", refuse)
+    monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=refuse))
     # drop cached providers so a probe would have to run again
     get_provider.cache_clear()
     try:

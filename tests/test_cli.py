@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from chainsig import cli
 from chainsig.cli import (
     DEFAULT_LEVELS,
     CliConfig,
@@ -31,6 +32,8 @@ from chainsig.report import (
     write_csv,
 )
 from chainsig.schemes import catalog
+from chainsig.schemes.base import SchemeInstance
+from chainsig.schemes.stub import StubBackend
 from chainsig.sim import ChainModel
 
 
@@ -601,6 +604,39 @@ class TestMain:
             f"chainsig: error: unrecognized arguments: {prefix}"
         ]
         assert not (tmp_path / "out").exists()
+
+    def test_backend_failure_skips_its_variant(self, tmp_path, stub_provider, monkeypatch, caplog):
+        # a backend that fails mid-run costs its own variant, not the rows
+        # already measured
+        real_instantiate = cli.instantiate
+
+        class FailingSign(StubBackend):
+            def sign(self, secret_key, message):
+                raise RuntimeError("rc=-1")
+
+        def instantiate(descriptor):
+            if descriptor.variant == "P-521":
+                return SchemeInstance(descriptor, FailingSign())
+            return real_instantiate(descriptor)
+
+        monkeypatch.setattr(cli, "instantiate", instantiate)
+        out = tmp_path / "out"
+        argv = [
+            "--families", "ECDSA", "ML-DSA", "--runs", "5", "--warm-up", "1",
+            "--skip-simulation", "--output-dir", str(out),
+        ]
+        with caplog.at_level(logging.WARNING, logger="chainsig.cli"):
+            assert main(argv) == 2
+        reason = "P-521: sign failed in backend: rc=-1"
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"skipping P-521: {reason}"
+        ]
+        rows = parse_csv(out / "benchmark.csv").rows
+        assert {row.variant for row in rows} == {
+            "P-256", "P-384", "ML-DSA-44", "ML-DSA-65", "ML-DSA-87"
+        }
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["skipped"] == [{"variant": "P-521", "reason": reason}]
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["--runs", "0"]) == 1

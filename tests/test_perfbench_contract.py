@@ -205,5 +205,8 @@ def test_provenance_availability_follows_the_library(provider, request, monkeypa
         assert oqs.OqsProvider().available() is False
     else:
         assert request.getfixturevalue("pqclean_standin").available() is True
-        monkeypatch.setitem(sys.modules, "pqcrypto.sign", None)
-        assert pqclean.PqcleanProvider().available() is False
+        # undone before pqclean_standin's teardown drops the pqcrypto
+        # modules; the test's own monkeypatch would put the stand-in back
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "pqcrypto.sign", None)
+            assert pqclean.PqcleanProvider().available() is False

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes.util
 import logging
 import os
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -341,6 +343,67 @@ class TestEcdsaEdgeCases:
         assert p384.verify(pk, b"m", sig) is False
 
 
+class TestEcdsaKeyParsing:
+    """What an ECDSA row times: each key is parsed on its first call only,
+    from a bounded cache that never keeps a failure."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> Counter:
+        # (loader name, key bytes) -> calls; keypairs are fresh in each
+        # test, so no earlier test's cached key counts
+        from cryptography.hazmat.primitives import serialization
+
+        counts: Counter = Counter()
+
+        def counting(name):
+            real = getattr(serialization, name)
+
+            def load(data, *args, **kwargs):
+                counts[name, bytes(data)] += 1
+                return real(data, *args, **kwargs)
+
+            return load
+
+        for name in ("load_der_public_key", "load_der_private_key"):
+            monkeypatch.setattr(serialization, name, counting(name))
+        return counts
+
+    def test_each_key_is_parsed_once(self, parses):
+        instance = instantiate_or_skip("P-256")
+        pk, sk = instance.keypair()
+        for _ in range(5):
+            assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
+        assert parses["load_der_private_key", sk] == 1
+        assert parses["load_der_public_key", pk] == 1
+
+    def test_malformed_key_is_not_cached(self, parses):
+        instance = instantiate_or_skip("P-256")
+        bad = b"not a der key"
+        for _ in range(3):
+            with pytest.raises(BackendFailure, match="^malformed ECDSA public key: "):
+                instance.verify(bad, b"m", b"sig")
+            with pytest.raises(BackendFailure, match="^malformed ECDSA secret key: "):
+                instance.sign(bad, b"m")
+        assert parses["load_der_public_key", bad] == 3
+        assert parses["load_der_private_key", bad] == 3
+        pk, sk = instance.keypair()
+        assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
+
+    def test_cache_is_bounded(self, parses):
+        instance = instantiate_or_skip("P-256")
+        pk, sk = instance.keypair()
+        sig = instance.sign(sk, b"m")
+        assert instance.verify(pk, b"m", sig) is True
+        for _ in range(100):
+            other_pk, other_sk = instance.keypair()
+            instance.sign(other_sk, b"m")
+            assert instance.verify(other_pk, b"m", sig) is False
+        instance.sign(sk, b"m")
+        assert instance.verify(pk, b"m", sig) is True
+        assert parses["load_der_private_key", sk] == 2
+        assert parses["load_der_public_key", pk] == 2
+
+
 def _oqs_backend_or_skip(variant_name: str):
     try:
         return get_provider("oqs").create(by_variant()[variant_name])
@@ -397,6 +460,28 @@ class TestOqsLoadDiagnostic:
         reason = self._reason()
         assert reason == "liboqs not found (3 paths searched; set CHAINSIG_LIBOQS)"
         for path in missing:
+            assert any(path in message for message in caplog.messages)
+
+    @pytest.mark.parametrize("library", ["not-elf", "no-oqs-symbols"])
+    def test_library_that_does_not_load_is_named(self, library, monkeypatch, tmp_path, caplog):
+        # a broken liboqs at a searched prefix is not reported as absent
+        if library == "not-elf":
+            broken = str(tmp_path / "liboqs.so")
+            (tmp_path / "liboqs.so").write_bytes(b"not a shared object")
+        else:
+            broken = getattr(_ctypes, "__file__", None)
+            if broken is None:
+                pytest.skip("_ctypes is built into this interpreter")
+        missing = [str(tmp_path / f"lib{i}" / "liboqs.so") for i in range(2)]
+        monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter([missing[0], broken, missing[1]]))
+        caplog.set_level(logging.DEBUG, logger="chainsig.schemes.oqs")
+        reason = self._reason()
+        assert reason.startswith(f"liboqs does not load: {broken}: ")
+        if library == "no-oqs-symbols":
+            assert "OQS_version" in reason
+        for path in missing:
+            assert path not in reason
             assert any(path in message for message in caplog.messages)
 
     def test_env_path_is_named(self, monkeypatch, tmp_path):
@@ -481,11 +566,9 @@ class TestPqcleanFallback:
         def no_import(name):
             raise AssertionError(f"imported {name}")
 
-        provider = pqclean.PqcleanProvider()
-        monkeypatch.setattr(provider, "_import_error", None)
         monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=no_import))
-        with pytest.raises(UnsupportedVariant, match="Dilithium2"):
-            provider.create(by_variant()["Dilithium2"])
+        with pytest.raises(UnsupportedVariant, match="^no implementation of 'Dilithium2'$"):
+            pqclean.PqcleanProvider().create(by_variant()["Dilithium2"])
 
 
 def test_provider_abc_defaults():

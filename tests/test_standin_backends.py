@@ -172,6 +172,12 @@ class TestPqcleanStandin:
         module = sys.modules["pqcrypto.sign.ml_dsa_44"]
         assert module.__file__.startswith(str(STANDINS))
 
+    def test_available_asks_when_called(self, pqclean_standin):
+        assert pqclean_standin.available() is True
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "pqcrypto.sign", None)
+            assert pqclean_standin.available() is False
+
     def test_roundtrip(self, pqclean_standin):
         instance = _instance(pqclean_standin, "ML-DSA-44")
         pk, sk = instance.keypair()
