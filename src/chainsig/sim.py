@@ -25,6 +25,13 @@ variant simulated under one config sees the same transaction counts and
 the same standard-normal draws (common random numbers), so differences
 between variants are not sampling noise.
 
+The draws come from the standard library's random.Random, seeded with
+the config's seed: transaction counts by Hormann's PTRS transformed
+rejection and standard normals by Box-Muller. Both are built from
+random() alone, the one output whose sequence Python promises to keep
+across versions, so a seed gives the same draws on every Python. It
+does not give the values of chainsig versions that drew with numpy.
+
 Network propagation, forks and incentives are out of scope: block
 production is a fixed schedule and verification cost is the only
 quantity modeled.
@@ -34,15 +41,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import operator
+import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 from .bench import StatSummary, summarize
-
-# numpy is imported where a simulation first needs it, so a process that
-# only measures signatures never loads it
-if TYPE_CHECKING:
-    import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -80,40 +86,94 @@ _MODEL_DEFAULTS = {
 }
 
 
-@functools.lru_cache(maxsize=len(ChainModel))
-def _draws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(transaction counts, standard normals) for config, drawn once and read-only.
+def _poisson(random: Callable[[], float], lam: float, count: int) -> list[int]:
+    """count Poisson(lam) draws by Hormann's PTRS transformed rejection (1993).
 
-    Both arrays have shape (runs, blocks_per_run) and come from one
-    generator seeded with config.seed, the counts first. A run simulates
-    every verify row under the same config, so the cache holds one entry
-    per chain model.
+    Every variate is built from random() alone; the squeeze and the log
+    test follow the paper's constants, which are valid for lam >= 10.
     """
-    import numpy as np
+    if lam < 10.0:
+        raise ValueError(f"PTRS needs lam >= 10, got {lam!r}")
+    log_lam = math.log(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    draws = []
+    while len(draws) < count:
+        u = random() - 0.5
+        v = 1.0 - random()
+        us = 0.5 - abs(u)
+        # rejected before k is formed, so us == 0 never divides
+        if us < 0.013 and v > us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if (us >= 0.07 and v <= v_r) or (
+            k >= 0
+            and math.log(v) + log_alpha - math.log(a / (us * us) + b)
+            <= k * log_lam - lam - math.lgamma(k + 1)
+        ):
+            draws.append(k)
+    return draws
 
-    sequence = np.random.SeedSequence(config.seed & _SEED_MASK)
-    rng = np.random.Generator(np.random.PCG64(sequence))
-    shape = (config.runs, config.blocks_per_run)
-    tx_counts = rng.poisson(_MODEL_DEFAULTS[config.model][0], shape)
-    tx_counts.flags.writeable = False
-    z = rng.standard_normal(shape)
-    z.flags.writeable = False
-    return tx_counts, z
+
+def _standard_normals(random: Callable[[], float], count: int) -> list[float]:
+    """count standard normals by Box-Muller, two per pair of random() calls."""
+    normals = []
+    for _ in range(0, count, 2):
+        # 1 - random() lies in (0, 1], so the log is finite
+        radius = math.sqrt(-2.0 * math.log(1.0 - random()))
+        angle = math.tau * random()
+        normals += (radius * math.cos(angle), radius * math.sin(angle))
+    del normals[count:]
+    return normals
+
+
+# one run's (sum tx, fsum tx * z, min z, tx counts, standard normals)
+_Run = tuple[int, float, float, tuple[int, ...], tuple[float, ...]]
+
+
+@functools.lru_cache(maxsize=len(ChainModel))
+def _draws(config: SimulationConfig) -> tuple[_Run, ...]:
+    """One _Run per run of config, drawn once.
+
+    Counts and normals come from one generator seeded with config.seed,
+    every count before the first normal, in run-major order. A run
+    simulates every verify row under the same config, so the cache holds
+    one entry per chain model; its tuples cannot be changed by a caller.
+    """
+    rng = random.Random(config.seed & _SEED_MASK)
+    blocks = config.blocks_per_run
+    size = config.runs * blocks
+    counts = _poisson(rng.random, _MODEL_DEFAULTS[config.model][0], size)
+    normals = _standard_normals(rng.random, size)
+    runs = []
+    for start in range(0, size, blocks):
+        tx = tuple(counts[start : start + blocks])
+        z = tuple(normals[start : start + blocks])
+        runs.append((sum(tx), math.fsum(map(operator.mul, tx, z)), min(z), tx, z))
+    return tuple(runs)
 
 
 def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSummary:
     """config.runs independent runs; batch stats over per-run means.
 
     Every call with an equal config reuses the same transaction counts
-    and standard normals (common random numbers); a per-signature cost is
-    max(mean + std * z, 0), which equals the clamped Normal(mean, std) draw
-    from the same generator bit for bit.
+    and standard normals (common random numbers). A block's per-signature
+    cost is max(mean + std * z, 0). A run whose smallest z keeps that cost
+    non-negative costs (mean * sum tx + std * sum tx*z) / blocks without a
+    pass over its blocks; any other run sums its blocks one by one.
     """
-    import numpy as np
-
-    tx_counts, z = _draws(config)
-    per_signature_ms = np.maximum(verify_stat.mean_ms + verify_stat.std_ms * z, 0.0)
-    return summarize((tx_counts * per_signature_ms).mean(axis=1).tolist())
+    mean, std = verify_stat.mean_ms, verify_stat.std_ms
+    blocks = config.blocks_per_run
+    run_means = []
+    for tx_total, tx_z, z_min, tx, z in _draws(config):
+        if mean + std * z_min >= 0.0:
+            run_means.append((mean * tx_total + std * tx_z) / blocks)
+        else:
+            costs = (max(mean + std * z_i, 0.0) for z_i in z)
+            run_means.append(math.fsum(map(operator.mul, tx, costs)) / blocks)
+    return summarize(run_means)
 
 
 def config_echo(config: SimulationConfig) -> tuple[str, ...]:
@@ -127,4 +187,5 @@ def config_echo(config: SimulationConfig) -> tuple[str, ...]:
         f"runs={config.runs}",
         f"seed={config.seed}",
         "verify_sampling=normal-per-block",
+        "generator=python-random-ptrs-box-muller",
     )

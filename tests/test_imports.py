@@ -1,11 +1,13 @@
 """A run imports only what it uses.
 
-Backends load when a variant asks for one, and numpy loads only when a
-run simulates, which is after its last timed call.
+Backends load when a variant asks for one. No chainsig run loads numpy,
+not even one that simulates, and none but the liboqs binding's loads
+ctypes.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -18,8 +20,10 @@ from chainsig.report import Operation, ReportDataset, ReportRow, Stage, write_cs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a replay simulates, so it loads numpy, and numpy loads ctypes; the oqs
-# module stands for chainsig's own use of ctypes
+#: loaded by no chainsig run: the simulator draws with the standard
+#: library, and only the liboqs binding uses ctypes
+NUMPY_AND_CTYPES = ("numpy", "ctypes")
+
 UNUSED_BY_REPLAY = (
     "cryptography",
     "xml.sax",
@@ -27,10 +31,8 @@ UNUSED_BY_REPLAY = (
     "chainsig.schemes.oqs",
     "chainsig.schemes.pqclean",
     "chainsig.schemes.stub",
+    *NUMPY_AND_CTYPES,
 )
-
-#: loaded only by the simulation stage
-SIMULATION_ONLY = ("numpy", "ctypes")
 
 #: a small live run: the two level-1 Falcon variants, measured briefly
 LIVE_ARGS = (
@@ -106,7 +108,7 @@ def test_instantiate_loads_the_backend_it_uses(tmp_path):
 
 
 def test_import_loads_neither_numpy_nor_ctypes(tmp_path):
-    assert _loaded_after("import chainsig.cli", tmp_path, SIMULATION_ONLY) == set()
+    assert _loaded_after("import chainsig.cli", tmp_path, NUMPY_AND_CTYPES) == set()
 
 
 def test_run_without_simulation_never_loads_numpy(tmp_path):
@@ -114,11 +116,11 @@ def test_run_without_simulation_never_loads_numpy(tmp_path):
         "from chainsig.cli import main\n"
         f"assert main({[*LIVE_ARGS, '--skip-simulation']!r}) == 0"
     )
-    assert _loaded_after(code, tmp_path, SIMULATION_ONLY, provider="stub") == set()
+    assert _loaded_after(code, tmp_path, NUMPY_AND_CTYPES, provider="stub") == set()
     assert (tmp_path / "out" / "benchmark.csv").is_file()
 
 
-def test_every_timed_call_returns_before_numpy_loads(tmp_path):
+def test_simulating_run_never_loads_numpy(tmp_path):
     # each benchmark_variant call records whether numpy is loaded and, on
     # Linux, how many threads the process runs (None elsewhere)
     code = (
@@ -136,7 +138,8 @@ def test_every_timed_call_returns_before_numpy_loads(tmp_path):
         "    return record\n"
         "cli.benchmark_variant = recorded\n"
         f"assert cli.main({list(LIVE_ARGS)!r}) == 0\n"
-        "print(json.dumps({'calls': calls, 'numpy': 'numpy' in sys.modules}))"
+        f"print(json.dumps({{'calls': calls, 'loaded': [n for n in {NUMPY_AND_CTYPES!r}"
+        " if n in sys.modules]}))"
     )
     result = _child(code, tmp_path, provider="stub")
     assert len(result["calls"]) == 2
@@ -144,6 +147,21 @@ def test_every_timed_call_returns_before_numpy_loads(tmp_path):
         assert not numpy_loaded
         if sys.platform.startswith("linux"):
             assert threads == 1
-    # the simulation stage ran, and it loaded numpy
-    assert result["numpy"]
+    # the simulation stage ran, and it loaded neither
+    assert result["loaded"] == []
     assert (tmp_path / "out" / "simulation.csv").is_file()
+
+
+def test_no_module_imports_numpy():
+    # every import statement in the package, however deeply nested
+    found = []
+    for path in sorted((SRC / "chainsig").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "numpy"]
+    assert found == []

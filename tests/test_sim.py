@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
+import statistics
+from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from chainsig import sim
@@ -127,9 +129,8 @@ class TestSimulateRun:
         # equal those of a reference that draws no normals at all
         config = _config(runs=5)
         stat = _stat(0.1402, 0.0)
-        assert simulate_batch(config, stat) == summarize(
-            _fresh_generator_run_means(config, stat)
-        )
+        expected = summarize(_fresh_generator_run_means(config, stat))
+        _assert_close(simulate_batch(config, stat), expected)
 
     def test_negative_normal_draws_clamped(self):
         # mean ~0 with large std: unclamped, the block costs would cancel
@@ -243,24 +244,50 @@ class TestClosedFormOracle:
 
 
 def _fresh_generator_run_means(config: SimulationConfig, stat: StatSummary) -> list:
-    """Reference: one new generator per batch, costs drawn with rng.normal(mean, std).
+    """Reference: one new generator per batch, every block's cost computed on its own.
 
-    A stat with std 0 costs its mean exactly, and no normals are drawn.
+    The counts come first, from sim._poisson (TestPoissonSampler checks
+    it against the pmf), then one Box-Muller pair per two blocks, in
+    run-major order; a block costs tx * max(mean + std * z, 0).
     """
-    sequence = np.random.SeedSequence(config.seed & ((1 << 64) - 1))
-    rng = np.random.Generator(np.random.PCG64(sequence))
-    shape = (config.runs, config.blocks_per_run)
-    tx_counts = rng.poisson(_tx_per_block(config.model), shape)
-    if stat.std_ms == 0.0:
-        cost = stat.mean_ms
-    else:
-        cost = np.maximum(rng.normal(stat.mean_ms, stat.std_ms, shape), 0.0)
-    return (tx_counts * cost).mean(axis=1).tolist()
+    rng = random.Random(config.seed & ((1 << 64) - 1))
+    size = config.runs * config.blocks_per_run
+    tx_counts = sim._poisson(rng.random, _tx_per_block(config.model), size)
+    z = []
+    for _ in range(size // 2):
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        angle = 2.0 * math.pi * rng.random()
+        z += [radius * math.cos(angle), radius * math.sin(angle)]
+    costs = [tx * max(stat.mean_ms + stat.std_ms * zi, 0.0) for tx, zi in zip(tx_counts, z)]
+    blocks = config.blocks_per_run
+    return [math.fsum(costs[i : i + blocks]) / blocks for i in range(0, size, blocks)]
+
+
+def _assert_close(actual: StatSummary, expected: StatSummary) -> None:
+    # the shortcut sums each run in another order than the reference, so
+    # the two round differently, far below the CSV's 4 decimals
+    assert actual.n == expected.n
+    assert math.isclose(actual.mean_ms, expected.mean_ms, rel_tol=1e-12)
+    assert math.isclose(actual.std_ms, expected.std_ms, rel_tol=1e-12)
 
 
 class TestSharedDraws:
-    # the last stat draws many negative costs, so the clamp is exercised
-    STATS = (_stat(0.0788, 0.0029), _stat(1.5, 0.4), _stat(3.0, 0.0), _stat(0.01, 0.02))
+    # the last stat draws many negative costs, so the clamp is exercised;
+    # at the one before it only some runs clamp, so both branches run in
+    # one batch
+    STATS = (
+        _stat(0.0788, 0.0029),
+        _stat(1.5, 0.4),
+        _stat(3.0, 0.0),
+        _stat(1.0, 0.45),
+        _stat(0.01, 0.02),
+    )
+
+    def test_some_runs_clamp_and_some_do_not(self):
+        config = SimulationConfig(ChainModel.ETHEREUM, runs=50, seed=0)
+        stat = self.STATS[3]
+        clamped = [stat.mean_ms + stat.std_ms * run[2] < 0.0 for run in sim._draws(config)]
+        assert any(clamped) and not all(clamped)
 
     @pytest.mark.parametrize("std", ["measured", "zero"])
     @pytest.mark.parametrize("seed", [0, -3, 2**70])
@@ -273,15 +300,74 @@ class TestSharedDraws:
         # stats share each config, and the two models interleave
         for stat in stats:
             for config in configs:
-                assert simulate_batch(config, stat) == summarize(
-                    _fresh_generator_run_means(config, stat)
+                _assert_close(
+                    simulate_batch(config, stat),
+                    summarize(_fresh_generator_run_means(config, stat)),
                 )
 
     def test_cached_draws_are_read_only(self):
-        tx_counts, z = sim._draws(_config(ChainModel.ETHEREUM, runs=5))
-        for array in (tx_counts, z):
-            with pytest.raises(ValueError):
-                array[0, 0] = 0
+        runs = sim._draws(_config(ChainModel.ETHEREUM, runs=5))
+        assert type(runs) is tuple and len(runs) == 5
+        for run in runs:
+            assert type(run) is tuple
+            tx_counts, z = run[3], run[4]
+            assert type(tx_counts) is tuple and type(z) is tuple
+
+
+def _pearson_chi_square(draws: list[int], lam: float) -> tuple[float, int]:
+    """(statistic, degrees of freedom) against Poisson(lam).
+
+    Neighbouring counts are merged until each bin expects at least 5
+    draws; the first bin takes the left tail and the last the right.
+    """
+    n = len(draws)
+    observed = Counter(draws)
+    top = int(lam + 20.0 * math.sqrt(lam))
+    assert max(draws) < top
+    bins = []
+    seen = expected = 0.0
+    for k in range(top):
+        seen += observed[k]
+        expected += n * math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        if expected >= 5.0:
+            bins.append((seen, expected))
+            seen = expected = 0.0
+    last_seen, last_expected = bins.pop()
+    # the right tail beyond top expects far less than one draw
+    bins.append((last_seen + seen, last_expected + expected))
+    statistic = sum((o - e) ** 2 / e for o, e in bins)
+    return statistic, len(bins) - 1
+
+
+def _chi_square_quantile(p: float, df: int) -> float:
+    """Wilson-Hilferty approximation to the chi-square p quantile."""
+    z = statistics.NormalDist().inv_cdf(p)
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+class TestPoissonSampler:
+    # 20,000 draws missed a sampler that accepted every draw in the
+    # squeeze region; this many catch it
+    DRAWS = 200_000
+
+    @pytest.mark.parametrize("lam", [131.0, 1729.0])
+    def test_matches_the_poisson_distribution(self, lam):
+        draws = sim._poisson(random.Random(20261019).random, lam, self.DRAWS)
+        assert len(draws) == self.DRAWS
+        assert all(type(k) is int for k in draws)
+        mean = statistics.fmean(draws)
+        assert abs(mean - lam) <= 5.0 * math.sqrt(lam / self.DRAWS)
+        # the sample variance's standard error is about lam * sqrt(2 / n), ~0.3%
+        assert abs(statistics.variance(draws) - lam) <= 0.05 * lam
+        statistic, df = _pearson_chi_square(draws, lam)
+        assert df > 20
+        assert statistic < _chi_square_quantile(0.999, df)
+
+    @pytest.mark.parametrize("lam", [9.99, 1.0, 0.0, -5.0])
+    def test_small_lambda_refused(self, lam):
+        with pytest.raises(ValueError, match="lam >= 10"):
+            sim._poisson(random.Random(0).random, lam, 1)
 
 
 class TestConfigEcho:
@@ -295,6 +381,7 @@ class TestConfigEcho:
             "runs=1000",
             "seed=42",
             "verify_sampling=normal-per-block",
+            "generator=python-random-ptrs-box-muller",
         )
 
     def test_echo_distinguishes_models(self):
