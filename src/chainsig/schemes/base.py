@@ -48,9 +48,6 @@ class SchemeInstance:
         self.descriptor = descriptor
         self._backend = backend
 
-    def __repr__(self) -> str:
-        return f"SchemeInstance({self.descriptor.variant!r})"
-
     def _failure(self, op_name: str, exc: Exception) -> BackendFailure:
         return BackendFailure(
             f"{self.descriptor.variant}: {op_name} failed in backend: {exc}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import statistics
@@ -434,10 +435,16 @@ class TestBenchmarkVariant:
         profiler = WindowProfiler()
         monkeypatch.setattr("chainsig.bench.time.perf_counter_ns", profiler)
         plan = RunPlan(warmup=3, runs=20)
+        # a collection inside a window would run gc.callbacks, such as the
+        # one hypothesis registers, and record their frames as entered
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             benchmark_variant(SchemeInstance(make_stub_descriptor(), NullBackend()), plan)
         finally:
             sys.setprofile(None)
+            if gc_was_enabled:
+                gc.enable()
         assert profiler.reads == 3 * 2 * plan.runs
         runs = plan.runs
         entered = {

@@ -107,10 +107,6 @@ def test_instantiate_loads_the_backend_it_uses(tmp_path):
     assert _loaded_after(code, tmp_path) == {"cryptography", "chainsig.schemes.ecdsa"}
 
 
-def test_import_loads_neither_numpy_nor_ctypes(tmp_path):
-    assert _loaded_after("import chainsig.cli", tmp_path, NUMPY_AND_CTYPES) == set()
-
-
 def test_run_without_simulation_never_loads_numpy(tmp_path):
     code = (
         "from chainsig.cli import main\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import _ctypes
 import ctypes.util
+import hashlib
 import logging
 import os
 import random
@@ -77,6 +78,23 @@ class TestStubBackend:
         instance = make_stub_instance()
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"", instance.sign(sk, b"")) is True
+
+    def test_known_answer_is_keyed_blake2s(self):
+        key, message = bytes(range(16)), b"known answer"
+        sig = StubBackend().sign(key, message)
+        assert sig == hashlib.blake2s(message, key=key).digest()
+        assert len(sig) == 32
+        # first keyed entry of the BLAKE2 reference's blake2s-kat.txt
+        assert StubBackend().sign(bytes(range(32)), b"").hex() == (
+            "48a8997da407876b3d79c0d92325ad3b89cbb754d86ab71aee047ad345fd2c49"
+        )
+
+    def test_short_and_empty_signatures_rejected(self):
+        instance = make_stub_instance()
+        pk, sk = instance.keypair()
+        sig = instance.sign(sk, b"payload")
+        assert instance.verify(pk, b"payload", sig[:-1]) is False
+        assert instance.verify(pk, b"payload", b"") is False
 
     def test_broken_stub_never_verifies(self):
         backend = BrokenStubBackend()
