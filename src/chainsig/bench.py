@@ -9,6 +9,7 @@ operation; no outlier trimming of any kind is applied.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import os
@@ -104,19 +105,21 @@ def measure_timer_resolution(pairs: int = _RESOLUTION_PAIRS) -> float:
 def time_operation(
     op: Callable[..., object],
     plan: RunPlan,
-    setup: Callable[[], object] | None = None,
+    arguments: Iterable[object] | None = None,
 ) -> list[float]:
     """Run op warmup + runs times; return the last runs durations in ms.
 
-    With setup given, each invocation receives setup()'s result as its
-    single argument; setup executes outside the timed window. Failures
-    during warm-up abort before any measurement is taken. Durations are
-    kept as integer ns and converted to ms once, after the last run.
+    With arguments given, each invocation receives the iterable's next
+    item as its single argument, drawn outside the timed window; an
+    iterable with fewer than warmup + runs items raises ValueError.
+    Failures during warm-up abort before any measurement is taken.
+    Durations are kept as integer ns and converted to ms once, after the
+    last run.
     """
     clock = time.perf_counter_ns
     deltas: list[float] = []
     record = deltas.append
-    if setup is None:
+    if arguments is None:
         for _ in itertools.repeat(None, plan.warmup):
             op()
         for _ in itertools.repeat(None, plan.runs):
@@ -125,14 +128,19 @@ def time_operation(
             end = clock()
             record(end - start)
     else:
-        for _ in itertools.repeat(None, plan.warmup):
-            op(setup())
-        for _ in itertools.repeat(None, plan.runs):
-            argument = setup()
+        items = iter(arguments)
+        for argument in itertools.islice(items, plan.warmup):
+            op(argument)
+        for argument in itertools.islice(items, plan.runs):
             start = clock()
             op(argument)
             end = clock()
             record(end - start)
+        # runs >= 1, so a short warm-up also leaves deltas short
+        if len(deltas) < plan.runs:
+            raise ValueError(
+                f"arguments ran out before {plan.warmup + plan.runs} invocations"
+            )
     # in place, so a list of ints and a list of floats are never held at once
     for index, delta in enumerate(deltas):
         deltas[index] = delta / 1e6
@@ -158,13 +166,11 @@ def summarize(samples: Iterable[float]) -> StatSummary:
 def _random_messages(count: int, size: int) -> Iterator[bytes]:
     """count random messages of size bytes, cut from one os.urandom block.
 
-    The block holds count * size bytes; each message is copied out of it
+    The block holds count * size bytes; each message is read out of it
     only when the iterator reaches it.
     """
-    total = count * size
-    block = os.urandom(total)
-    starts = range(0, total, size)
-    return map(block.__getitem__, map(slice, starts, itertools.count(size, size)))
+    stream = io.BytesIO(os.urandom(count * size))
+    return iter(functools.partial(stream.read, size), b"")
 
 
 def benchmark_variant(
@@ -188,12 +194,11 @@ def benchmark_variant(
     sign_samples = time_operation(
         functools.partial(instance.sign, secret_key),
         plan,
-        setup=_random_messages(plan.warmup + plan.runs, plan.message_len).__next__,
+        _random_messages(plan.warmup + plan.runs, plan.message_len),
     )
 
     pool_messages = _random_messages(min(plan.runs, VERIFY_POOL_SIZE), plan.message_len)
     pool = [(message, instance.sign(secret_key, message)) for message in pool_messages]
-    pairs = itertools.cycle(pool)
 
     def checked_verify(pair: tuple[bytes, bytes]) -> None:
         message, signature = pair
@@ -203,7 +208,7 @@ def benchmark_variant(
                 " returned false"
             )
 
-    verify_samples = time_operation(checked_verify, plan, setup=pairs.__next__)
+    verify_samples = time_operation(checked_verify, plan, itertools.cycle(pool))
 
     return BenchmarkRecord(
         descriptor=instance.descriptor,

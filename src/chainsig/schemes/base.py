@@ -39,7 +39,9 @@ class SchemeInstance:
     Non-emptiness of keys and signatures is enforced here so every
     backend gets the same guarantees. keypair() returns a plain
     (public_key, secret_key) tuple of bytes, sign() the signature bytes
-    and verify() a bool.
+    and verify() a bool. A backend result whose type is exactly bytes
+    is returned as it is; any other type (bytearray, a bytes subclass)
+    is copied to bytes.
     """
 
     __slots__ = ("descriptor", "_backend")
@@ -65,7 +67,12 @@ class SchemeInstance:
             raise BackendFailure(
                 f"{self.descriptor.variant}: backend produced an empty key"
             )
-        return bytes(public_key), bytes(secret_key)
+        # bytes(x) costs a __bytes__ call even on exact bytes, inside every timed window
+        if type(public_key) is not bytes:
+            public_key = bytes(public_key)
+        if type(secret_key) is not bytes:
+            secret_key = bytes(secret_key)
+        return public_key, secret_key
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
         try:
@@ -78,7 +85,7 @@ class SchemeInstance:
             raise BackendFailure(
                 f"{self.descriptor.variant}: backend produced an empty signature"
             )
-        return bytes(signature)
+        return signature if type(signature) is bytes else bytes(signature)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:

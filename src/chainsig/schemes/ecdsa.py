@@ -5,20 +5,15 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING
 
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+
 from ..errors import BackendFailure, UnsupportedVariant
 from .base import Provider, SchemeBackend
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
-
-try:
-    from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives import hashes, serialization
-    from cryptography.hazmat.primitives.asymmetric import ec
-
-    _IMPORT_ERROR: Exception | None = None
-except ImportError as exc:  # pragma: no cover - cryptography is a hard dep
-    _IMPORT_ERROR = exc
 
 # curve and digest pairings follow the usual strength matching
 _CURVES = {
@@ -78,8 +73,6 @@ class EcdsaBackend(SchemeBackend):
 
 class EcdsaProvider(Provider):
     def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if _IMPORT_ERROR is not None:
-            raise UnsupportedVariant(f"cryptography not importable: {_IMPORT_ERROR}")
         pairing = _CURVES.get(descriptor.variant)
         if pairing is None:
             raise UnsupportedVariant(f"no curve for {descriptor.variant!r}")

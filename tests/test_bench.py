@@ -19,6 +19,7 @@ from chainsig.bench import (
     BenchmarkRecord,
     RunPlan,
     StatSummary,
+    _random_messages,
     benchmark_variant,
     measure_timer_resolution,
     probe_environment,
@@ -247,19 +248,28 @@ class TestTimeOperation:
         samples = time_operation(lambda: None, plan)
         assert all(value >= 0.0 for value in samples)
 
-    def test_setup_runs_once_per_invocation(self):
+    def test_one_argument_per_invocation(self):
         produced = []
         received = []
 
-        def setup():
-            token = object()
-            produced.append(token)
-            return token
+        def arguments():
+            while True:
+                token = object()
+                produced.append(token)
+                yield token
 
         plan = RunPlan(warmup=2, runs=3)
-        time_operation(received.append, plan, setup=setup)
+        time_operation(received.append, plan, arguments())
         assert len(produced) == 5
         assert received == produced
+
+    @pytest.mark.parametrize("available", [0, 1, 2, 4])
+    def test_too_few_arguments_raise(self, available):
+        received = []
+        plan = RunPlan(warmup=2, runs=3)
+        with pytest.raises(ValueError, match=r"^arguments ran out before 5 invocations$"):
+            time_operation(received.append, plan, range(available))
+        assert received == list(range(available))
 
     def test_warmup_samples_are_discarded(self):
         # the first `warmup` calls are two orders of magnitude slower;
@@ -297,18 +307,35 @@ class TestTimeOperation:
         expected = [(end - start) / 1e6 for start, end in zip(starts, ends)]
         assert [value.hex() for value in samples] == [value.hex() for value in expected]
 
-    def test_setup_time_never_reaches_a_sample(self, fake_clock):
+    def test_argument_time_never_reaches_a_sample(self, fake_clock):
         clock = fake_clock()
 
-        def setup():
-            clock.now += 10**9
-            return 1_000
+        def arguments():
+            while True:
+                clock.now += 10**9
+                yield 1_000
 
         def op(cost):
             clock.now += cost
 
-        samples = time_operation(op, RunPlan(warmup=2, runs=50), setup=setup)
+        samples = time_operation(op, RunPlan(warmup=2, runs=50), arguments())
         assert samples == [0.001] * 50
+
+
+def test_random_messages_cut_one_urandom_block(monkeypatch):
+    block = bytes(range(256)) * 3
+    requested = []
+
+    def fake_urandom(size):
+        requested.append(size)
+        return block[:size]
+
+    monkeypatch.setattr("chainsig.bench.os.urandom", fake_urandom)
+    messages = list(_random_messages(48, 16))
+    assert requested == [768]
+    assert len(messages) == 48
+    assert all(type(message) is bytes and len(message) == 16 for message in messages)
+    assert b"".join(messages) == block
 
 
 def _now_ns():

@@ -146,18 +146,43 @@ class TestInstanceGuards:
         assert info.value.__cause__ is error
 
     def test_bytearray_results_become_bytes(self):
-        class BytearrayBackend(StubBackend):
+        class BytesSubclass(bytes):
+            pass
+
+        for kind in (bytearray, BytesSubclass):
+
+            class ConvertingBackend(StubBackend):
+                def keypair(self):
+                    return kind(b"pk"), kind(b"sk")
+
+                def sign(self, secret_key, message):
+                    return kind(b"sig")
+
+            instance = SchemeInstance(make_stub_descriptor(), ConvertingBackend())
+            public_key, secret_key = instance.keypair()
+            signature = instance.sign(secret_key, b"m")
+            results = (public_key, secret_key, signature)
+            assert [type(value) for value in results] == [bytes] * 3, kind
+            assert results == (b"pk", b"sk", b"sig"), kind
+
+    def test_exact_bytes_results_are_not_copied(self):
+        # longer than one byte, so a copy would be a new object (CPython
+        # shares its one-byte bytes); bytes() hands exact bytes back as
+        # they are, so this pins the guard's contract, not its cost
+        public, secret, signature = (bytes([value]) * 40 for value in (1, 2, 3))
+
+        class FixedBackend(StubBackend):
             def keypair(self):
-                return bytearray(b"pk"), bytearray(b"sk")
+                return public, secret
 
             def sign(self, secret_key, message):
-                return bytearray(b"sig")
+                return signature
 
-        instance = SchemeInstance(make_stub_descriptor(), BytearrayBackend())
+        instance = SchemeInstance(make_stub_descriptor(), FixedBackend())
         public_key, secret_key = instance.keypair()
-        signature = instance.sign(secret_key, b"m")
-        assert [type(value) for value in (public_key, secret_key, signature)] == [bytes] * 3
-        assert (public_key, secret_key, signature) == (b"pk", b"sk", b"sig")
+        assert public_key is public
+        assert secret_key is secret
+        assert instance.sign(secret_key, b"m") is signature
 
     def test_keypair_is_a_pair(self):
         pair = make_stub_instance().keypair()
