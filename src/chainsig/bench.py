@@ -13,12 +13,11 @@ import io
 import itertools
 import math
 import os
-import platform
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ClockUnavailable, CorrectnessViolation, EmptySamples
+from .records import Validated
 from .schemes import SchemeInstance
 
 #: verify timings cycle over this many precomputed (message, signature)
@@ -30,8 +29,7 @@ _RESOLUTION_PAIRS = 1_000_000
 _RESOLUTION_DELTAS = 10_000
 
 
-@dataclass(frozen=True)
-class StatSummary:
+class StatSummary(NamedTuple):
     """Mean and sample standard deviation over n measured durations."""
 
     mean_ms: float
@@ -39,15 +37,18 @@ class StatSummary:
     n: int
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """Iteration counts for one benchmark: warmup discarded, runs kept."""
-
+class _RunPlan(NamedTuple):
     warmup: int = 1000
     runs: int = 10000
     message_len: int = 32
 
-    def __post_init__(self) -> None:
+
+class RunPlan(Validated, _RunPlan):
+    """Iteration counts for one benchmark: warmup discarded, runs kept."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.warmup < 0:
@@ -56,8 +57,7 @@ class RunPlan:
             raise ValueError(f"message_len must be >= 1, got {self.message_len}")
 
 
-@dataclass(frozen=True)
-class EnvironmentInfo:
+class EnvironmentInfo(NamedTuple):
     """Host description recorded in a run's manifest."""
 
     cpu_model: str
@@ -66,8 +66,7 @@ class EnvironmentInfo:
     timer_resolution_ns: float
 
 
-@dataclass(frozen=True)
-class BenchmarkRecord:
+class BenchmarkRecord(NamedTuple):
     descriptor: object
     keypair_stat: StatSummary
     sign_stat: StatSummary
@@ -226,6 +225,8 @@ def _cpu_model() -> str:
                     return line.split(":", 1)[1].strip()
     except OSError:
         pass
+    import platform  # reached only from probe_environment, like the import there
+
     return platform.processor() or platform.machine() or "unknown"
 
 
@@ -239,6 +240,8 @@ def _memory_bytes() -> int:
 
 def probe_environment() -> EnvironmentInfo:
     """Best-effort host introspection; unknown fields degrade gracefully."""
+    import platform  # only a measuring run probes its host, so a replay never loads platform
+
     return EnvironmentInfo(
         cpu_model=_cpu_model(),
         memory_bytes=_memory_bytes(),

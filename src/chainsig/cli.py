@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
-import hashlib
 import io
 import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from time import gmtime, strftime
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bench import (
     BenchmarkRecord,
@@ -87,24 +85,23 @@ def _text(value: object, separator: str) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     """Every run setting and its default; the CLI flags override fields."""
 
-    runs: int = RunPlan.runs
-    warmup: int = RunPlan.warmup
+    runs: int = RunPlan._field_defaults["runs"]
+    warmup: int = RunPlan._field_defaults["warmup"]
     levels: frozenset[int] = DEFAULT_LEVELS
-    runs_simulator: int = SimulationConfig.runs
+    runs_simulator: int = SimulationConfig._field_defaults["runs"]
     models: tuple[ChainModel, ...] = tuple(ChainModel)
-    seed: int = SimulationConfig.seed
+    seed: int = SimulationConfig._field_defaults["seed"]
     output_dir: Path = Path("chainsig-results")
     families: tuple[str, ...] | None = None
-    message_len: int = RunPlan.message_len
+    message_len: int = RunPlan._field_defaults["message_len"]
     skip_simulation: bool = False
     replay_benchmarks: Path | None = None
 
     def to_dict(self) -> dict:
-        return {field.name: _plain(getattr(self, field.name)) for field in fields(self)}
+        return {name: _plain(value) for name, value in self._asdict().items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +218,7 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
         given["models"] = tuple(ChainModel(value) for value in sorted(set(given["models"])))
     if "families" in given:
         given["families"] = tuple(dict.fromkeys(given["families"]))
-    return replace(CliConfig(), **given)
+    return CliConfig()._replace(**given)
 
 
 def _config_comments(config: CliConfig) -> list[str]:
@@ -244,6 +241,8 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
     sha256 is that of the bytes parsed. Rows from more than one machine, or
     whose labels are not the catalog's, are refused with IoFailure.
     """
+    import hashlib  # only a replay hashes its input, and hashlib loads the system libcrypto
+
     try:
         data = path.read_bytes()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
@@ -331,8 +330,7 @@ def _simulate(
         for model, sim_config in sim_configs.items():
             batch = simulate_batch(sim_config, stat)
             sim_rows.append(
-                replace(
-                    row,
+                row._replace(
                     stage=Stage.SIMULATION,
                     model=model,
                     mean_ms=batch.mean_ms,
@@ -474,8 +472,9 @@ def run_pipeline(config: CliConfig) -> int:
 
     manifest = {
         "config": config.to_dict(),
-        "environment": asdict(environment) if environment is not None else None,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "environment": environment._asdict() if environment is not None else None,
+        # gmtime and strftime are bound at import, so a fake cli.time leaves this real
+        "timestamp": strftime("%Y-%m-%dT%H:%M:%S+00:00", gmtime()),
         "skipped": skipped,
         "outputs": outputs,
         "timings": {"stages": timings, "variants": variant_seconds},

@@ -12,12 +12,12 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .bench import BenchmarkRecord
 from .errors import DuplicateRow, EmptySelection, IoFailure
+from .records import Validated
 from .schemes import FAMILY_ORDER
 from .sim import ChainModel
 
@@ -71,8 +71,7 @@ def level_group(level: int) -> LevelGroup:
         raise ValueError(f"no chart group for level {level}") from None
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class _ReportRow(NamedTuple):
     machine: str
     family: str
     variant: str
@@ -84,7 +83,11 @@ class ReportRow:
     std_ms: float
     n: int
 
-    def __post_init__(self) -> None:
+
+class ReportRow(Validated, _ReportRow):
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("machine", "family", "variant"):
             value = getattr(self, name)
             # neither survives the LF-terminated CSV text format: NUL is
@@ -137,11 +140,14 @@ def _sort_key(row: ReportRow) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class ReportDataset:
+class _ReportDataset(NamedTuple):
     rows: tuple[ReportRow, ...]
 
-    def __post_init__(self) -> None:
+
+class ReportDataset(Validated, _ReportDataset):
+    __slots__ = ()
+
+    def _check(self) -> None:
         seen = set()
         for row in self.rows:
             if row.key in seen:

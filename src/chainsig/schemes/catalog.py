@@ -8,7 +8,7 @@ post-quantum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # (family, is_pqc, ((variant, level), ...)), in fixed presentation order;
 # within a family the variants are listed by ascending level
@@ -112,8 +112,7 @@ FAMILY_ORDER: tuple[str, ...] = tuple(family for family, _, _ in _TABLE)
 VALID_LEVELS = frozenset({1, 2, 3, 4, 5})
 
 
-@dataclass(frozen=True)
-class VariantDescriptor:
+class VariantDescriptor(NamedTuple):
     """One row of the variant catalog; the backend is chosen by instantiate."""
 
     family: str

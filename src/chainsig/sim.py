@@ -45,10 +45,10 @@ import math
 import operator
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .bench import StatSummary, summarize
+from .records import Validated
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -64,17 +64,20 @@ class ChainModel(enum.Enum):
         return self.name.capitalize()
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """The values a run sets; the network profile follows from model."""
-
+class _SimulationConfig(NamedTuple):
     model: ChainModel
     runs: int = 1000
     seed: int = 42
 
+
+class SimulationConfig(Validated, _SimulationConfig):
+    """The values a run sets; the network profile follows from model."""
+
+    __slots__ = ()
+
     blocks_per_run: ClassVar[int] = 16
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import itertools
 import json
 import logging
 import re
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,7 +127,7 @@ class TestParseArgs:
 
 class TestConfigSerialization:
     def test_round_trip_defaults(self):
-        # the CLI's defaults and the dataclass's agree, field by field
+        # the CLI's defaults and CliConfig's field defaults agree, field by field
         config = CliConfig()
         assert parse_args([]) == config
         assert config.to_dict() == {
@@ -299,6 +299,30 @@ class TestRunPipeline:
         assert "simulation.csv" in manifest["outputs"]
         assert manifest["environment"]["cpu_model"]
         assert manifest["environment"]["timer_resolution_ns"] > 0
+
+    def test_manifest_records_are_json_objects(self, tmp_path, stub_provider):
+        # a named tuple handed to json.dumps as itself would become a list
+        config = tiny_config(tmp_path)
+        run_pipeline(config)
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["environment"]) == [
+            "cpu_model", "memory_bytes", "os_descriptor", "timer_resolution_ns"
+        ]
+        assert list(manifest["config"]) == sorted([
+            "runs", "warmup", "levels", "runs_simulator", "models", "seed", "output_dir",
+            "families", "message_len", "skip_simulation", "replay_benchmarks",
+        ])
+
+    def test_manifest_timestamp_is_utc_to_the_second(self, tmp_path, stub_provider):
+        config = tiny_config(tmp_path)
+        run_pipeline(config)
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        stamp = manifest["timestamp"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        written = datetime.datetime.fromisoformat(stamp)
+        assert written.utcoffset() == datetime.timedelta(0)
+        now = datetime.datetime.now(datetime.timezone.utc)
+        assert abs(now - written) < datetime.timedelta(minutes=1)
 
     def test_benchmark_csv_carries_config_comments(self, tmp_path, stub_provider):
         config = tiny_config(tmp_path)
@@ -677,7 +701,7 @@ class TestMain:
         mixed = tmp_path / "mixed.csv"
         write_csv(
             ReportDataset(
-                tuple(replace(row, machine=name) for name in ("host-a", "host-b") for row in rows)
+                tuple(row._replace(machine=name) for name in ("host-a", "host-b") for row in rows)
             ),
             mixed,
         )

@@ -2,7 +2,11 @@
 
 Backends load when a variant asks for one. No chainsig run loads numpy,
 not even one that simulates, and none but the liboqs binding's loads
-ctypes.
+ctypes. Records are named tuples and the manifest's timestamp comes from
+`time`, so chainsig loads neither `dataclasses` (and with it `inspect`)
+nor `datetime`; only `cryptography`, in an ECDSA run, loads the first.
+`platform` loads only when a run probes its host, and `hashlib` only
+when a replay hashes its CSV or the stub backend tags a message.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ UNUSED_BY_REPLAY = (
     "chainsig.schemes.stub",
     *NUMPY_AND_CTYPES,
 )
+
+#: imported by no chainsig module; an ECDSA run still loads the first two
+#: through `cryptography`
+HEAVY_STDLIB = ("dataclasses", "inspect", "datetime")
 
 #: a small live run: the two level-1 Falcon variants, measured briefly
 LIVE_ARGS = (
@@ -75,7 +83,8 @@ def _loaded_after(
 
 
 def test_import_loads_no_backend(tmp_path):
-    assert _loaded_after("import chainsig.cli", tmp_path) == set()
+    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, "platform", "hashlib")
+    assert _loaded_after("import chainsig.cli", tmp_path, watched) == set()
 
 
 def test_replay_loads_no_backend(tmp_path):
@@ -94,7 +103,9 @@ def test_replay_loads_no_backend(tmp_path):
         "assert main(['--families', 'ECDSA', '--levels', '1', '--runs-simulator', '3',"
         f" '--replay-benchmarks', {str(replay)!r}, '--output-dir', 'out']) == 0"
     )
-    assert _loaded_after(code, tmp_path) == set()
+    # the replay hashes its CSV, so it may load hashlib
+    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, "platform")
+    assert _loaded_after(code, tmp_path, watched) == set()
     assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
@@ -114,6 +125,13 @@ def test_run_without_simulation_never_loads_numpy(tmp_path):
     )
     assert _loaded_after(code, tmp_path, NUMPY_AND_CTYPES, provider="stub") == set()
     assert (tmp_path / "out" / "benchmark.csv").is_file()
+
+
+def test_stub_run_loads_no_heavy_stdlib(tmp_path):
+    # the probe stage loads platform, and the stub's BLAKE2s tag hashlib
+    code = f"from chainsig.cli import main\nassert main({list(LIVE_ARGS)!r}) == 0"
+    assert _loaded_after(code, tmp_path, HEAVY_STDLIB, provider="stub") == set()
+    assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
 def test_simulating_run_never_loads_numpy(tmp_path):
@@ -148,8 +166,8 @@ def test_simulating_run_never_loads_numpy(tmp_path):
     assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
-def test_no_module_imports_numpy():
-    # every import statement in the package, however deeply nested
+def _importers(*packages: str) -> list[str]:
+    """Every import statement in chainsig, however deeply nested, of one of packages."""
     found = []
     for path in sorted((SRC / "chainsig").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -159,5 +177,13 @@ def test_no_module_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "numpy"]
-    assert found == []
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in packages]
+    return found
+
+
+def test_no_module_imports_numpy():
+    assert _importers("numpy") == []
+
+
+def test_no_module_imports_dataclasses_or_datetime():
+    assert _importers("dataclasses", "datetime") == []

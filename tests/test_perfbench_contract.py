@@ -13,7 +13,6 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter, defaultdict
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -119,8 +118,7 @@ def test_every_target_the_pipeline_reaches_records_spans(run_module, tmp_path, m
     measured = cli.CliConfig(
         runs=3, warmup=1, levels=frozenset({2}), runs_simulator=4, output_dir=tmp_path / "live"
     )
-    replayed = replace(
-        measured,
+    replayed = measured._replace(
         replay_benchmarks=measured.output_dir / "benchmark.csv",
         output_dir=tmp_path / "replay",
     )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -577,7 +576,7 @@ class TestRenderBarChart:
     def test_one_ulp_leaves_the_bytes(self):
         nudged = ReportDataset(
             tuple(
-                replace(row, mean_ms=math.nextafter(row.mean_ms, math.inf))
+                row._replace(mean_ms=math.nextafter(row.mean_ms, math.inf))
                 for row in chart_rows().rows
             )
         )

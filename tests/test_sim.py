@@ -6,7 +6,6 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -296,7 +295,7 @@ class TestSharedDraws:
         configs = [SimulationConfig(model, runs=50, seed=seed) for model in ChainModel]
         stats = self.STATS
         if std == "zero":
-            stats = tuple(replace(stat, std_ms=0.0) for stat in stats)
+            stats = tuple(stat._replace(std_ms=0.0) for stat in stats)
         # stats share each config, and the two models interleave
         for stat in stats:
             for config in configs:
