@@ -238,8 +238,9 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
     """A replay CSV's rows, and the `replayed_from` entry that names them.
 
     The file is read once and decoded as Path.read_text decodes it, so the
-    sha256 is that of the bytes parsed. Rows from more than one machine, or
-    whose labels are not the catalog's, are refused with IoFailure.
+    sha256 is that of the bytes parsed. A file that does not parse, holds
+    simulation rows, rows from more than one machine or rows whose labels
+    are not the catalog's is refused with one IoFailure line naming it.
     """
     import hashlib  # only a replay hashes its input, and hashlib loads the system libcrypto
 
@@ -248,7 +249,13 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    rows = parse_csv(io.StringIO(text)).rows
+    try:
+        rows = parse_csv(io.StringIO(text)).rows
+    except ChainsigError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    simulated = sum(row.stage is Stage.SIMULATION for row in rows)
+    if simulated:
+        raise IoFailure(f"{path}: {simulated} simulation rows; a replay takes benchmark rows only")
     machines = sorted({row.machine for row in rows})
     if len(machines) > 1:
         raise IoFailure(
@@ -281,9 +288,7 @@ def _replayed(
 ) -> tuple[ReportDataset, list[dict[str, str]]]:
     """The selected variants' replayed benchmark rows, and a skip entry for each without rows."""
     wanted = {descriptor.variant for descriptor in selected}
-    dataset = ReportDataset(
-        tuple(row for row in rows if row.stage is Stage.BENCHMARK and row.variant in wanted)
-    )
+    dataset = ReportDataset(tuple(row for row in rows if row.variant in wanted))
     present = {row.variant for row in dataset.rows}
     skipped: list[dict[str, str]] = []
     for descriptor in selected:

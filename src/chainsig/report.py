@@ -116,15 +116,8 @@ class ReportRow(Validated, _ReportRow):
 
     @property
     def key(self) -> tuple:
-        return (
-            self.machine,
-            self.family,
-            self.variant,
-            self.level,
-            self.stage,
-            self.model,
-            self.operation,
-        )
+        """The columns that identify a result: machine through operation."""
+        return self[:7]
 
 
 def _sort_key(row: ReportRow) -> tuple:
@@ -151,7 +144,7 @@ class ReportDataset(Validated, _ReportDataset):
         seen = set()
         for row in self.rows:
             if row.key in seen:
-                raise DuplicateRow(f"duplicate result row for {row.key}")
+                raise DuplicateRow(f"duplicate result row for {_key_text(row)}")
             seen.add(row.key)
 
     def filter(self, model: ChainModel) -> "ReportDataset":
@@ -201,6 +194,29 @@ def _write_text(destination: str | Path | IO[str], text: str) -> int:
     return len(data)
 
 
+def _fields(row: ReportRow) -> list[str]:
+    """row's CSV fields, in CSV_HEADER's order."""
+    return [
+        row.machine,
+        row.family,
+        row.variant,
+        str(row.level),
+        row.stage.value,
+        row.model.label if row.model is not None else "",
+        row.operation.value,
+        f"{row.mean_ms:.4f}",
+        f"{row.std_ms:.4f}",
+        str(row.n),
+    ]
+
+
+def _key_text(row: ReportRow) -> str:
+    """row's key columns as they read in the CSV."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(_fields(row)[:7])
+    return buffer.getvalue()
+
+
 def write_csv(
     dataset: ReportDataset,
     destination: str | Path | IO[str],
@@ -218,20 +234,7 @@ def write_csv(
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for row in sorted(dataset.rows, key=_sort_key):
-        writer.writerow(
-            [
-                row.machine,
-                row.family,
-                row.variant,
-                str(row.level),
-                row.stage.value,
-                row.model.label if row.model is not None else "",
-                row.operation.value,
-                f"{row.mean_ms:.4f}",
-                f"{row.std_ms:.4f}",
-                str(row.n),
-            ]
-        )
+        writer.writerow(_fields(row))
     return _write_text(destination, buffer.getvalue())
 
 
@@ -253,31 +256,41 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
     while index < len(lines) and lines[index].startswith("#"):
         index += 1
     if index >= len(lines) or lines[index] != CSV_HEADER:
-        raise IoFailure(f"missing or malformed header; expected {CSV_HEADER!r}")
+        raise IoFailure(f"line {index + 1}: missing or malformed header; expected {CSV_HEADER!r}")
     rows = []
-    for record in csv.reader(io.StringIO("\n".join(lines[index + 1 :]))):
+    first_seen: dict[tuple, int] = {}
+    reader = csv.reader(io.StringIO("\n".join(lines[index + 1 :])))
+    # a record starts on the line after the last one read; quoted
+    # newlines make a record span several
+    read = index + 1
+    for record in reader:
+        line, read = read + 1, index + 1 + reader.line_num
         if not record:
             continue
         if len(record) != 10:
-            raise IoFailure(f"expected 10 fields, got {len(record)}: {record!r}")
+            raise IoFailure(f"line {line}: expected 10 fields, got {len(record)}: {record!r}")
         machine, family, variant, level, stage, model, operation, mean, std, n = record
         try:
-            rows.append(
-                ReportRow(
-                    machine=machine,
-                    family=family,
-                    variant=variant,
-                    level=int(level),
-                    stage=Stage(stage),
-                    model=_MODEL_LABELS[model] if model else None,
-                    operation=Operation(operation),
-                    mean_ms=float(mean),
-                    std_ms=float(std),
-                    n=int(n),
-                )
+            row = ReportRow(
+                machine=machine,
+                family=family,
+                variant=variant,
+                level=int(level),
+                stage=Stage(stage),
+                model=_MODEL_LABELS[model] if model else None,
+                operation=Operation(operation),
+                mean_ms=float(mean),
+                std_ms=float(std),
+                n=int(n),
             )
         except (KeyError, ValueError) as exc:
-            raise IoFailure(f"malformed row {record!r}: {exc}") from exc
+            raise IoFailure(f"line {line}: malformed row {record!r}: {exc}") from exc
+        first = first_seen.setdefault(row.key, line)
+        if first != line:
+            raise DuplicateRow(
+                f"line {line}: duplicate result row for {_key_text(row)}, first on line {first}"
+            )
+        rows.append(row)
     return ReportDataset(tuple(rows))
 
 

@@ -1,6 +1,6 @@
 """Variant catalog and pluggable signature backends."""
 
-from .base import Provider, SchemeBackend, SchemeInstance
+from .base import SchemeBackend, SchemeInstance
 from .catalog import (
     FAMILY_ORDER,
     VALID_LEVELS,
@@ -14,7 +14,6 @@ from .registry import PROVIDER_ENV, get_provider, instantiate
 __all__ = [
     "FAMILY_ORDER",
     "PROVIDER_ENV",
-    "Provider",
     "SchemeBackend",
     "SchemeInstance",
     "VALID_LEVELS",

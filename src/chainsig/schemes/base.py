@@ -94,15 +94,3 @@ class SchemeInstance:
             raise
         except Exception as exc:
             raise self._failure("verify", exc) from exc
-
-
-class Provider(abc.ABC):
-    """A backend family that can serve some subset of the catalog."""
-
-    @abc.abstractmethod
-    def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        """Build a backend for descriptor.
-
-        Raises UnsupportedVariant, with a one-line reason, when the
-        library is missing or does not implement the variant.
-        """

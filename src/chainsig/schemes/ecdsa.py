@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from ..errors import BackendFailure, UnsupportedVariant
-from .base import Provider, SchemeBackend
+from .base import SchemeBackend
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
@@ -71,9 +71,8 @@ class EcdsaBackend(SchemeBackend):
             return False
 
 
-class EcdsaProvider(Provider):
-    def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        pairing = _CURVES.get(descriptor.variant)
-        if pairing is None:
-            raise UnsupportedVariant(f"no curve for {descriptor.variant!r}")
-        return EcdsaBackend(*pairing)
+def create(descriptor: "VariantDescriptor") -> SchemeBackend:
+    pairing = _CURVES.get(descriptor.variant)
+    if pairing is None:
+        raise UnsupportedVariant(f"no curve for {descriptor.variant!r}")
+    return EcdsaBackend(*pairing)

@@ -33,7 +33,7 @@ import weakref
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import BackendFailure, UnsupportedVariant
-from .base import Provider, SchemeBackend
+from .base import SchemeBackend
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
@@ -87,10 +87,7 @@ class OqsLoadError(Exception):
 
 
 _LIBDIRS = ("lib", "lib64", "lib/x86_64-linux-gnu", "lib/aarch64-linux-gnu")
-
-
-def _lib_suffix() -> str:
-    return ".dylib" if sys.platform == "darwin" else ".so"
+_LIB_SUFFIX = ".dylib" if sys.platform == "darwin" else ".so"
 
 
 def _candidate_paths() -> Iterator[str]:
@@ -103,7 +100,7 @@ def _candidate_paths() -> Iterator[str]:
         yield found
     for prefix in ("/usr/local", "/opt/liboqs", "/opt/homebrew", "/usr"):
         for libdir in _LIBDIRS:
-            yield f"{prefix}/{libdir}/liboqs{_lib_suffix()}"
+            yield f"{prefix}/{libdir}/liboqs{_LIB_SUFFIX}"
 
 
 def _cross_candidate_paths() -> Iterator[str]:
@@ -112,7 +109,7 @@ def _cross_candidate_paths() -> Iterator[str]:
         yield override
         return
     for libdir in _LIBDIRS:
-        yield f"/opt/liboqs-cross/{libdir}/liboqs{_lib_suffix()}"
+        yield f"/opt/liboqs-cross/{libdir}/liboqs{_LIB_SUFFIX}"
 
 
 class _Library:
@@ -259,49 +256,52 @@ class OqsBackend(SchemeBackend):
         return rc == 0
 
 
-class OqsProvider(Provider):
-    @functools.cached_property
-    def _primary(self) -> _Library | OqsLoadError:
-        try:
-            return _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
-        except OqsLoadError as exc:
-            return exc
+# each search runs once per process, on first use; the two are separate
+# so that a hardened primary never searches for the Cross library
+@functools.cache
+def _primary() -> _Library | OqsLoadError:
+    try:
+        return _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
+    except OqsLoadError as exc:
+        return exc
 
-    @functools.cached_property
-    def _cross(self) -> _Library | OqsLoadError:
-        """The library serving the Cross family, hardened when possible."""
-        primary = self._primary
-        if not isinstance(primary, OqsLoadError) and not primary.version.startswith(
-            _MALLEABLE_CROSS_PREFIX
-        ):
-            return primary
-        reason = ""
-        try:
-            served = _load_library(_cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS")
-        except OqsLoadError as exc:
-            reason = f"; no dedicated Cross library: {exc}"
-            served = primary
-        if not isinstance(served, OqsLoadError) and served.version.startswith(
-            _MALLEABLE_CROSS_PREFIX
-        ):
-            logger.warning(
-                "serving Cross from liboqs %s at %s, whose verifier ignores "
-                "signature padding bits; tampered padding is not rejected%s",
-                served.version,
-                served.path,
-                reason,
-            )
-        return served
 
-    def available(self) -> bool:
-        """Whether a liboqs loads here, as primary or for Cross; provenance records it."""
-        return not isinstance(self._cross, OqsLoadError)
+@functools.cache
+def _cross() -> _Library | OqsLoadError:
+    """The library serving the Cross family, hardened when possible."""
+    primary = _primary()
+    if not isinstance(primary, OqsLoadError) and not primary.version.startswith(
+        _MALLEABLE_CROSS_PREFIX
+    ):
+        return primary
+    reason = ""
+    try:
+        served = _load_library(_cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS")
+    except OqsLoadError as exc:
+        reason = f"; no dedicated Cross library: {exc}"
+        served = primary
+    if not isinstance(served, OqsLoadError) and served.version.startswith(
+        _MALLEABLE_CROSS_PREFIX
+    ):
+        logger.warning(
+            "serving Cross from liboqs %s at %s, whose verifier ignores "
+            "signature padding bits; tampered padding is not rejected%s",
+            served.version,
+            served.path,
+            reason,
+        )
+    return served
 
-    def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        if not descriptor.is_pqc:
-            raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
-        cross = descriptor.variant.startswith("Cross-")
-        lib = self._cross if cross else self._primary
-        if isinstance(lib, OqsLoadError):
-            raise UnsupportedVariant(str(lib))
-        return OqsBackend(lib, _oqs_algorithm(descriptor.variant))
+
+def available() -> bool:
+    """Whether a liboqs loads here, as primary or for Cross; provenance records it."""
+    return not isinstance(_cross(), OqsLoadError)
+
+
+def create(descriptor: "VariantDescriptor") -> SchemeBackend:
+    if not descriptor.is_pqc:
+        raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
+    lib = _cross() if descriptor.variant.startswith("Cross-") else _primary()
+    if isinstance(lib, OqsLoadError):
+        raise UnsupportedVariant(str(lib))
+    return OqsBackend(lib, _oqs_algorithm(descriptor.variant))

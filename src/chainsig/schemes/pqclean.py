@@ -13,7 +13,7 @@ from types import ModuleType
 from typing import TYPE_CHECKING
 
 from ..errors import BackendFailure, UnsupportedVariant
-from .base import Provider, SchemeBackend
+from .base import SchemeBackend
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
@@ -70,23 +70,23 @@ class PqcleanBackend(SchemeBackend):
             return False
 
 
-class PqcleanProvider(Provider):
-    def available(self) -> bool:
-        """Whether pqcrypto imports on this host; benchmark provenance records it."""
-        try:
-            importlib.import_module("pqcrypto.sign")
-        except ImportError:
-            return False
-        return True
+def available() -> bool:
+    """Whether pqcrypto imports on this host; benchmark provenance records it."""
+    try:
+        importlib.import_module("pqcrypto.sign")
+    except ImportError:
+        return False
+    return True
 
-    def create(self, descriptor: "VariantDescriptor") -> SchemeBackend:
-        module_name = _MODULES.get(descriptor.variant)
-        if module_name is None:
-            raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")
-        try:
-            module = importlib.import_module(f"pqcrypto.sign.{module_name}")
-        except ImportError as exc:
-            raise UnsupportedVariant(
-                f"pqcrypto.sign.{module_name} not importable: {exc}"
-            ) from exc
-        return PqcleanBackend(module)
+
+def create(descriptor: "VariantDescriptor") -> SchemeBackend:
+    module_name = _MODULES.get(descriptor.variant)
+    if module_name is None:
+        raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")
+    try:
+        module = importlib.import_module(f"pqcrypto.sign.{module_name}")
+    except ImportError as exc:
+        raise UnsupportedVariant(
+            f"pqcrypto.sign.{module_name} not importable: {exc}"
+        ) from exc
+    return PqcleanBackend(module)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import functools
 import importlib
 import logging
 import os
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 from ..errors import UnsupportedVariant
-from .base import Provider, SchemeInstance
+from .base import SchemeInstance
 
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
@@ -19,30 +19,23 @@ logger = logging.getLogger(__name__)
 #: set this to a provider name to force every variant onto one backend
 PROVIDER_ENV = "CHAINSIG_PROVIDER"
 
-# name -> (module in this package, provider class). A backend module is
-# imported on the first get_provider call for its name, so a run that
-# never asks for ECDSA or liboqs never loads `cryptography` or the liboqs binding.
-_PROVIDERS: dict[str, tuple[str, str]] = {
-    "ecdsa": ("ecdsa", "EcdsaProvider"),
-    "oqs": ("oqs", "OqsProvider"),
-    "pqclean": ("pqclean", "PqcleanProvider"),
-    "stub": ("stub", "StubProvider"),
-}
+# each provider is the module of that name in this package, and its
+# create(descriptor) returns a SchemeBackend or raises UnsupportedVariant
+# with a one-line reason. A module is imported on the first get_provider
+# call for its name, so a run that never asks for ECDSA or liboqs never
+# loads `cryptography` or the liboqs binding.
+_PROVIDERS = ("ecdsa", "oqs", "pqclean", "stub")
 
 # post-quantum variants are tried in preference order: liboqs first
 # (optimized code, full coverage), the PQClean wheels as fallback
 _PQC_CANDIDATES = ("oqs", "pqclean")
 
 
-@functools.cache
-def get_provider(name: str) -> Provider:
-    """Return the provider registered under name, imported and built once per process."""
-    entry = _PROVIDERS.get(name)
-    if entry is None:
+def get_provider(name: str) -> ModuleType:
+    """Return the provider module registered under name; sys.modules keeps it."""
+    if name not in _PROVIDERS:
         raise UnsupportedVariant(f"no provider registered under {name!r}")
-    module_name, class_name = entry
-    module = importlib.import_module(f".{module_name}", __package__)
-    return getattr(module, class_name)()
+    return importlib.import_module(f".{name}", __package__)
 
 
 def _candidates(descriptor: "VariantDescriptor") -> tuple[str, ...]:

@@ -125,13 +125,21 @@ def instantiate_or_skip(variant_name: str) -> SchemeInstance:
 STANDINS = Path(__file__).parent / "standins"
 
 
+def _forget_oqs_searches(oqs) -> None:
+    oqs._primary.cache_clear()
+    oqs._cross.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def no_standin_left_loaded():
-    """Fail a test that leaves a module from tests/standins/ in sys.modules.
+    """Fail a test that leaves a stand-in where a later test would use it.
 
-    An autouse fixture is set up before the test's other fixtures, so this
-    check runs after their teardown and monkeypatch's undo. A leaked
-    pqcrypto stand-in would otherwise serve catalog rows in later tests.
+    That is a module from tests/standins/ in sys.modules, or a liboqs
+    stand-in build held by oqs's library searches, which would serve the
+    rows of a later get_provider("oqs"). An autouse fixture is set up
+    before the test's other fixtures, so this check runs after their
+    teardown and monkeypatch's undo. A leaked pqcrypto stand-in would
+    otherwise serve catalog rows in later tests.
     """
     yield
     leaked = sorted(
@@ -141,7 +149,17 @@ def no_standin_left_loaded():
     )
     for name in leaked:
         del sys.modules[name]
+    held = set()
+    oqs = sys.modules.get("chainsig.schemes.oqs")
+    for search in (oqs._primary, oqs._cross) if oqs is not None else ():
+        # a search not yet run stays unrun; every stand-in build exports standin_live
+        lib = search() if search.cache_info().currsize else None
+        if isinstance(lib, oqs._Library) and hasattr(lib.cdll, "standin_live"):
+            held.add(lib.path)
+    if held:
+        _forget_oqs_searches(oqs)
     assert leaked == [], f"stand-in modules left loaded: {leaked}"
+    assert not held, f"stand-in liboqs builds left in oqs's searches: {sorted(held)}"
 
 
 @pytest.fixture(scope="session")
@@ -179,15 +197,27 @@ def liboqs_standins(tmp_path_factory) -> dict[str, str]:
 
 
 @pytest.fixture
-def oqs_standin(liboqs_standins, monkeypatch, tmp_path):
-    """Make a fresh OqsProvider over stand-in builds: oqs_standin(primary, cross).
+def fresh_oqs():
+    """The oqs provider module, its library searches forgotten before and after the test.
 
-    Each argument is a version of liboqs_standins, or None for a path that
-    does not exist. The provider bypasses get_provider's cache, so no test
-    that uses the registry sees a stand-in.
+    So a search runs again under the test's patches, and its result does
+    not outlive the test.
     """
     from chainsig.schemes import oqs
 
+    _forget_oqs_searches(oqs)
+    yield oqs
+    _forget_oqs_searches(oqs)
+
+
+@pytest.fixture
+def oqs_standin(liboqs_standins, monkeypatch, tmp_path, fresh_oqs):
+    """Point the oqs provider at stand-in builds: oqs_standin(primary, cross).
+
+    Each argument is a version of liboqs_standins, or None for a path that
+    does not exist. Each call forgets the searches made before it, and so
+    does teardown, so no later get_provider("oqs") sees a stand-in.
+    """
     missing = str(tmp_path / "missing" / "liboqs.so")
 
     def provider(primary: str | None = "0.16.0", cross: str | None = None):
@@ -197,7 +227,8 @@ def oqs_standin(liboqs_standins, monkeypatch, tmp_path):
         monkeypatch.setenv(
             "CHAINSIG_LIBOQS_CROSS", liboqs_standins[cross] if cross else missing
         )
-        return oqs.OqsProvider()
+        _forget_oqs_searches(fresh_oqs)
+        return fresh_oqs
 
     return provider
 
@@ -208,7 +239,7 @@ def _pqcrypto_modules() -> list[str]:
 
 @pytest.fixture
 def pqclean_standin(monkeypatch):
-    """A fresh PqcleanProvider that imports the pqcrypto stand-in.
+    """The pqclean provider module, importing the pqcrypto stand-in.
 
     On teardown every pqcrypto module leaves sys.modules, and any that
     were loaded before come back, so a later get_provider("pqclean")
@@ -219,6 +250,6 @@ def pqclean_standin(monkeypatch):
     for name in _pqcrypto_modules():
         monkeypatch.delitem(sys.modules, name)
     monkeypatch.syspath_prepend(str(STANDINS))
-    yield pqclean.PqcleanProvider()
+    yield pqclean
     for name in _pqcrypto_modules():
         del sys.modules[name]

@@ -13,7 +13,6 @@ from chainsig.schemes import (
     by_variant,
     catalog,
     filter_by_levels,
-    get_provider,
     instantiate,
     oqs,
     pqclean,
@@ -71,20 +70,16 @@ def test_by_variant_round_trips():
         assert index[descriptor.variant] == descriptor
 
 
-def test_catalog_loads_no_backend(monkeypatch):
+def test_catalog_loads_no_backend(monkeypatch, fresh_oqs):
     def refuse(*args):
         raise AssertionError("catalog() probed a backend")
 
+    # fresh_oqs forgot the liboqs searches, so a probe would have to run again
     monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
     monkeypatch.setattr(oqs, "_load_library", refuse)
     monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=refuse))
-    # drop cached providers so a probe would have to run again
-    get_provider.cache_clear()
-    try:
-        assert len(catalog()) == 46
-        assert len(by_variant()) == 46
-    finally:
-        get_provider.cache_clear()
+    assert len(catalog()) == 46
+    assert len(by_variant()) == 46
 
 
 def test_provider_env_override_applies_to_all(monkeypatch):

@@ -216,6 +216,10 @@ def write_replay(path: Path, labels) -> Path:
     return path
 
 
+#: one benchmark row as the CSV holds it
+_P256_VERIFY = "h,ECDSA,P-256,1,Benchmark,,verify,1.0,0.0,5"
+
+
 #: the INFO lines that print elapsed seconds, and the timings key each
 #: prints; None stands for the variant the line names
 _TIMED_LINES = (
@@ -737,6 +741,52 @@ class TestMain:
         assert main(["--replay-benchmarks", str(replay_csv), "--output-dir", str(out)]) == 1
         fatal = [line for line in capsys.readouterr().err.splitlines() if "chainsig:" in line]
         assert fatal == [f"chainsig: fatal: {replay_csv}: {expected}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body,expected",
+        [
+            (
+                "# seed=7\nmachine,family\n",
+                f"line 2: missing or malformed header; expected {CSV_HEADER!r}",
+            ),
+            (
+                f"{CSV_HEADER}\n{_P256_VERIFY}\nh,ECDSA,P-256,x,Benchmark,,verify,1.0,0.0,5\n",
+                "line 3: malformed row ['h', 'ECDSA', 'P-256', 'x', 'Benchmark', '', 'verify',"
+                " '1.0', '0.0', '5']: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                f"{CSV_HEADER}\n{_P256_VERIFY}\n\n{_P256_VERIFY}\n",
+                "line 4: duplicate result row for h,ECDSA,P-256,1,Benchmark,,verify,"
+                " first on line 2",
+            ),
+        ],
+        ids=["header", "malformed-row", "duplicate-row"],
+    )
+    def test_unparsable_replay_exits_1(self, tmp_path, capsys, body, expected):
+        replay_csv = tmp_path / "replay.csv"
+        replay_csv.write_text(body, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--replay-benchmarks", str(replay_csv), "--output-dir", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"chainsig: fatal: {replay_csv}: {expected}"]
+        assert "<Stage." not in lines[0]
+        assert not out.exists()
+
+    def test_replay_of_simulation_rows_exits_1(self, tmp_path, capsys):
+        # a simulation.csv given by mistake is refused whole, not replayed
+        # as a file with no benchmark rows
+        bench = write_replay(tmp_path / "bench.csv", [("ECDSA", "P-256", 1)])
+        first = tmp_path / "first"
+        argv = ["--families", "ECDSA", "--levels", "1", "--output-dir"]
+        assert main([*argv, str(first), "--replay-benchmarks", str(bench)]) == 0
+        capsys.readouterr()
+        simulation = first / "simulation.csv"
+        out = tmp_path / "out"
+        assert main([*argv, str(out), "--replay-benchmarks", str(simulation)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"chainsig: fatal: {simulation}: 2 simulation rows; a replay takes benchmark rows only"
+        ]
         assert not out.exists()
 
     def test_small_stub_run_exits_0(self, tmp_path, stub_provider):

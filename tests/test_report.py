@@ -390,6 +390,16 @@ class TestParseCsv:
         with pytest.raises(IoFailure, match="malformed row"):
             parse_csv(io.StringIO(CSV_HEADER + "\n" + row + "\n"))
 
+    def test_errors_name_the_line_a_record_starts_on(self):
+        # the first record spans lines 2 and 3 through a quoted newline,
+        # and line 4 is blank
+        text = (
+            f'{CSV_HEADER}\n"two\nlines",ECDSA,P-256,1,Benchmark,,verify,1.0,0.0,5\n'
+            "\nm,ECDSA,P-256,1,Benchmark,,warp,1.0,0.0,5\n"
+        )
+        with pytest.raises(IoFailure, match="^line 5: malformed row "):
+            parse_csv(io.StringIO(text))
+
     def test_duplicate_rows_rejected(self):
         line = "m,ECDSA,P-256,1,Benchmark,,verify,1.0,0.0,5"
         text = CSV_HEADER + "\n" + line + "\n" + line + "\n"

@@ -23,10 +23,11 @@ from chainsig.schemes import (
     oqs,
     pqclean,
     registry,
+    stub,
 )
-from chainsig.schemes.base import Provider, SchemeInstance
+from chainsig.schemes.base import SchemeInstance
 from chainsig.schemes.ecdsa import EcdsaBackend
-from chainsig.schemes.stub import StubBackend, StubProvider
+from chainsig.schemes.stub import StubBackend
 from conftest import (
     BrokenStubBackend,
     flip_byte,
@@ -226,15 +227,20 @@ class TestInstanceGuards:
         assert result is True
 
 
-class _RefusingProvider(StubProvider):
-    def create(self, descriptor):
-        raise UnsupportedVariant("refused")
+def _refuse(descriptor):
+    raise UnsupportedVariant("refused")
+
+
+_REFUSING_PROVIDER = SimpleNamespace(create=_refuse)
 
 
 class TestRegistry:
     def test_known_providers_resolve(self):
-        for name in ("ecdsa", "oqs", "pqclean", "stub"):
-            assert isinstance(get_provider(name), Provider)
+        # each provider is the module of its name, and create is its interface
+        for name in registry._PROVIDERS:
+            provider = get_provider(name)
+            assert provider.__name__ == f"chainsig.schemes.{name}"
+            assert callable(provider.create)
 
     def test_get_provider_is_cached(self):
         assert get_provider("stub") is get_provider("stub")
@@ -267,14 +273,13 @@ class TestRegistry:
         monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
         assert registry._candidates(descriptor) == ("stub",)
 
-    def test_oqs_refuses_classical_before_any_library_search(self, monkeypatch):
+    def test_oqs_refuses_classical_before_any_library_search(self, monkeypatch, fresh_oqs):
         def search(*args):
             raise AssertionError("liboqs searched")
 
         monkeypatch.setenv("CHAINSIG_PROVIDER", "oqs")
         monkeypatch.setenv("CHAINSIG_LIBOQS", "/nope")
         monkeypatch.setattr(oqs, "_load_library", search)
-        monkeypatch.setattr(registry, "get_provider", {"oqs": oqs.OqsProvider()}.__getitem__)
         with pytest.raises(UnsupportedVariant) as info:
             instantiate(by_variant()["P-256"])
         assert str(info.value) == "oqs: does not serve 'P-256'"
@@ -296,7 +301,7 @@ class TestRegistry:
             assert f"{variant} via ecdsa" in caplog.messages
 
     def test_first_working_candidate_wins(self, monkeypatch, caplog):
-        providers = {"oqs": _RefusingProvider(), "pqclean": StubProvider()}
+        providers = {"oqs": _REFUSING_PROVIDER, "pqclean": stub}
         monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
         monkeypatch.setattr(registry, "get_provider", providers.__getitem__)
         caplog.set_level(logging.INFO, logger="chainsig.schemes.registry")
@@ -306,7 +311,7 @@ class TestRegistry:
 
     def test_every_refusal_is_joined(self, monkeypatch):
         monkeypatch.delenv("CHAINSIG_PROVIDER", raising=False)
-        monkeypatch.setattr(registry, "get_provider", lambda name: _RefusingProvider())
+        monkeypatch.setattr(registry, "get_provider", lambda name: _REFUSING_PROVIDER)
         with pytest.raises(UnsupportedVariant) as info:
             instantiate(by_variant()["Falcon-512"])
         assert str(info.value) == "oqs: refused; pqclean: refused"
@@ -484,13 +489,14 @@ class TestOqsEdgeCases:
         assert instance.verify(pk, b"m", b"\x00" * 100) is False
 
 
+@pytest.mark.usefixtures("fresh_oqs")
 class TestOqsLoadDiagnostic:
     """A missing liboqs is reported in one line, with the paths at DEBUG."""
 
     def _reason(self) -> str:
-        # a fresh provider, so the search runs again under the patches
+        # fresh_oqs forgot earlier searches, so this one runs under the patches
         with pytest.raises(UnsupportedVariant) as info:
-            oqs.OqsProvider().create(by_variant()["ML-DSA-44"])
+            oqs.create(by_variant()["ML-DSA-44"])
         reason = str(info.value)
         assert "\n" not in reason
         return reason
@@ -611,16 +617,5 @@ class TestPqcleanFallback:
 
         monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=no_import))
         with pytest.raises(UnsupportedVariant, match="^no implementation of 'Dilithium2'$"):
-            pqclean.PqcleanProvider().create(by_variant()["Dilithium2"])
+            pqclean.create(by_variant()["Dilithium2"])
 
-
-def test_provider_abc_defaults():
-    # create() is the whole interface
-    assert Provider.__abstractmethods__ == {"create"}
-
-    class Minimal(Provider):
-        def create(self, descriptor):
-            raise UnsupportedVariant("minimal supports nothing")
-
-    with pytest.raises(UnsupportedVariant, match="minimal supports nothing"):
-        Minimal().create(by_variant()["P-256"])
