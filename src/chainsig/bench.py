@@ -8,6 +8,7 @@ operation; no outlier trimming of any kind is applied.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -16,7 +17,13 @@ import os
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ClockUnavailable, CorrectnessViolation, EmptySamples
+from .errors import (
+    BackendFailure,
+    ChainsigError,
+    ClockUnavailable,
+    CorrectnessViolation,
+    EmptySamples,
+)
 from .records import Validated
 from .schemes import SchemeInstance
 
@@ -172,6 +179,24 @@ def _random_messages(count: int, size: int) -> Iterator[bytes]:
     return iter(functools.partial(stream.read, size), b"")
 
 
+@contextlib.contextmanager
+def _backend_errors(variant: str, op_name: str) -> Iterator[None]:
+    """Raise a foreign exception from the block as one BackendFailure; ChainsigErrors pass."""
+    try:
+        yield
+    except ChainsigError:
+        raise
+    except Exception as exc:
+        raise BackendFailure(f"{variant}: {op_name} failed in backend: {exc}") from exc
+
+
+def _checked_bytes(variant: str, value: bytes, what: str) -> bytes:
+    """value as exact bytes; an empty value is refused with BackendFailure."""
+    if not value:
+        raise BackendFailure(f"{variant}: backend produced an empty {what}")
+    return value if type(value) is bytes else bytes(value)
+
+
 def benchmark_variant(
     instance: SchemeInstance,
     plan: RunPlan,
@@ -184,20 +209,32 @@ def benchmark_variant(
     pairs; every timed verification must return true, otherwise the
     variant is rejected with CorrectnessViolation. The host is not
     probed; callers that label rows call probe_environment once.
+
+    Each timed window holds one backend call, plus the verdict check for
+    verify. Outside the windows, the signing keypair and the pool's
+    signatures are refused when empty and converted to exact bytes;
+    results made inside a window are thrown away unchecked. A foreign
+    exception becomes BackendFailure("<variant>: <op> failed in backend: <exc>").
     """
     variant = instance.descriptor.variant
 
-    keypair_samples = time_operation(instance.keypair, plan)
+    with _backend_errors(variant, "keypair"):
+        keypair_samples = time_operation(instance.keypair, plan)
+        public_key, secret_key = instance.keypair()
+        public_key = _checked_bytes(variant, public_key, "key")
+        secret_key = _checked_bytes(variant, secret_key, "key")
 
-    public_key, secret_key = instance.keypair()
-    sign_samples = time_operation(
-        functools.partial(instance.sign, secret_key),
-        plan,
-        _random_messages(plan.warmup + plan.runs, plan.message_len),
-    )
-
-    pool_messages = _random_messages(min(plan.runs, VERIFY_POOL_SIZE), plan.message_len)
-    pool = [(message, instance.sign(secret_key, message)) for message in pool_messages]
+    with _backend_errors(variant, "sign"):
+        sign_samples = time_operation(
+            functools.partial(instance.sign, secret_key),
+            plan,
+            _random_messages(plan.warmup + plan.runs, plan.message_len),
+        )
+        pool_messages = _random_messages(min(plan.runs, VERIFY_POOL_SIZE), plan.message_len)
+        pool = [
+            (message, _checked_bytes(variant, instance.sign(secret_key, message), "signature"))
+            for message in pool_messages
+        ]
 
     def checked_verify(pair: tuple[bytes, bytes]) -> None:
         message, signature = pair
@@ -207,7 +244,8 @@ def benchmark_variant(
                 " returned false"
             )
 
-    verify_samples = time_operation(checked_verify, plan, itertools.cycle(pool))
+    with _backend_errors(variant, "verify"):
+        verify_samples = time_operation(checked_verify, plan, itertools.cycle(pool))
 
     return BenchmarkRecord(
         descriptor=instance.descriptor,

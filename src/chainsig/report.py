@@ -144,7 +144,8 @@ class ReportDataset(Validated, _ReportDataset):
         seen = set()
         for row in self.rows:
             if row.key in seen:
-                raise DuplicateRow(f"duplicate result row for {_key_text(row)}")
+                key = _csv_text(_fields(row)[:7])
+                raise DuplicateRow(f"duplicate result row for {key}")
             seen.add(row.key)
 
     def filter(self, model: ChainModel) -> "ReportDataset":
@@ -210,11 +211,12 @@ def _fields(row: ReportRow) -> list[str]:
     ]
 
 
-def _key_text(row: ReportRow) -> str:
-    """row's key columns as they read in the CSV."""
+def _csv_text(fields: list[str]) -> str:
+    """fields as write_csv writes them, without the line end."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(_fields(row)[:7])
-    return buffer.getvalue()
+    # write_csv's line end, so that a field holding a newline is quoted as in the file
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()[:-1]
 
 
 def write_csv(
@@ -268,7 +270,9 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
         if not record:
             continue
         if len(record) != 10:
-            raise IoFailure(f"line {line}: expected 10 fields, got {len(record)}: {record!r}")
+            raise IoFailure(
+                f"line {line}: expected 10 fields, got {len(record)}: {_csv_text(record)}"
+            )
         machine, family, variant, level, stage, model, operation, mean, std, n = record
         try:
             row = ReportRow(
@@ -284,11 +288,12 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
                 n=int(n),
             )
         except (KeyError, ValueError) as exc:
-            raise IoFailure(f"line {line}: malformed row {record!r}: {exc}") from exc
+            raise IoFailure(f"line {line}: malformed row {_csv_text(record)}: {exc}") from exc
         first = first_seen.setdefault(row.key, line)
         if first != line:
             raise DuplicateRow(
-                f"line {line}: duplicate result row for {_key_text(row)}, first on line {first}"
+                f"line {line}: duplicate result row for {_csv_text(_fields(row)[:7])},"
+                f" first on line {first}"
             )
         rows.append(row)
     return ReportDataset(tuple(rows))

@@ -85,7 +85,7 @@ def test_catalog_loads_no_backend(monkeypatch, fresh_oqs):
 def test_provider_env_override_applies_to_all(monkeypatch):
     monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
     for descriptor in catalog():
-        assert isinstance(instantiate(descriptor)._backend, StubBackend)
+        assert isinstance(instantiate(descriptor).backend, StubBackend)
 
 
 def test_filter_by_levels_subset_and_order():

@@ -752,8 +752,12 @@ class TestMain:
             ),
             (
                 f"{CSV_HEADER}\n{_P256_VERIFY}\nh,ECDSA,P-256,x,Benchmark,,verify,1.0,0.0,5\n",
-                "line 3: malformed row ['h', 'ECDSA', 'P-256', 'x', 'Benchmark', '', 'verify',"
-                " '1.0', '0.0', '5']: invalid literal for int() with base 10: 'x'",
+                "line 3: malformed row h,ECDSA,P-256,x,Benchmark,,verify,1.0,0.0,5:"
+                " invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                f'{CSV_HEADER}\n{_P256_VERIFY}\nh,"EC,DSA",P-256,1,Benchmark,,verify\n',
+                'line 3: expected 10 fields, got 7: h,"EC,DSA",P-256,1,Benchmark,,verify',
             ),
             (
                 f"{CSV_HEADER}\n{_P256_VERIFY}\n\n{_P256_VERIFY}\n",
@@ -761,7 +765,7 @@ class TestMain:
                 " first on line 2",
             ),
         ],
-        ids=["header", "malformed-row", "duplicate-row"],
+        ids=["header", "malformed-row", "field-count", "duplicate-row"],
     )
     def test_unparsable_replay_exits_1(self, tmp_path, capsys, body, expected):
         replay_csv = tmp_path / "replay.csv"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -181,6 +182,27 @@ def test_helper_imports_exist(helper):
     assert names, f"{helper} imports nothing from chainsig"
     missing = [f"{module}.{name}" for module, name in names if _resolve(module, name) is None]
     assert missing == []
+
+
+def test_floors_measure_every_metric(monkeypatch):
+    # floors builds SchemeInstance(descriptor, backend) and times its
+    # keypair, which an import check does not reach
+    floors = _load("floors")
+    monkeypatch.setattr(floors, "FLOOR_SAMPLES", 40)
+    monkeypatch.setattr(floors, "ECDSA_ROUNDS", 3)
+    monkeypatch.setattr(floors, "ECDSA_BLOCK", 20)
+    metrics = floors.measure_floors()
+    assert set(metrics) == {
+        "bench.loop_floor_us.p50",
+        "bench.loop_floor_us.p99",
+        "schemes.guard_us.p50",
+        "schemes.guard_us.p99",
+        "floors.samples",
+        "schemes.ecdsa.keypair_marshal_us",
+        "schemes.ecdsa.verify_marshal_us",
+        "schemes.ecdsa.samples",
+    }
+    assert all(math.isfinite(value) for value in metrics.values()), metrics
 
 
 @pytest.mark.parametrize("provider", ["oqs", "pqclean"])

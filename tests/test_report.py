@@ -168,6 +168,14 @@ class TestReportRowValidation:
 
 
 class TestDataset:
+    def test_refusals_print_the_record_as_write_csv_would(self):
+        text = f'{CSV_HEADER}\nh,"EC\nDSA",P-256,1,Benchmark,,verify\n'
+        with pytest.raises(IoFailure) as caught:
+            parse_csv(io.StringIO(text))
+        assert str(caught.value) == (
+            'line 2: expected 10 fields, got 7: h,"EC\nDSA",P-256,1,Benchmark,,verify'
+        )
+
     def test_duplicate_rows_rejected(self):
         row = bench_row()
         with pytest.raises(DuplicateRow):

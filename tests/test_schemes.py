@@ -5,6 +5,7 @@ from __future__ import annotations
 import _ctypes
 import ctypes.util
 import hashlib
+import itertools
 import logging
 import os
 import random
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from chainsig.bench import RunPlan, benchmark_variant
 from chainsig.errors import BackendFailure, UnsupportedVariant
 from chainsig.schemes import (
     VariantDescriptor,
@@ -103,46 +105,43 @@ class TestStubBackend:
         assert backend.verify(pk, b"m", backend.sign(sk, b"m")) is False
 
 
-class RaisingBackend(StubBackend):
-    """Stub whose every op raises the given exception."""
+def _raising(op: str, error: Exception, after: int = 0) -> StubBackend:
+    """A stub whose op works after times, then raises error; the other ops work."""
+    calls = itertools.count()
+    works = getattr(StubBackend, op)
 
-    def __init__(self, error):
-        super().__init__()
-        self.error = error
+    def fails(self, *args):
+        if next(calls) >= after:
+            raise error
+        return works(self, *args)
 
-    def keypair(self):
-        raise self.error
-
-    def sign(self, secret_key, message):
-        raise self.error
-
-    def verify(self, public_key, message, signature):
-        raise self.error
+    return type("RaisingBackend", (StubBackend,), {op: fails})()
 
 
-_OPS = {
-    "keypair": lambda instance: instance.keypair(),
-    "sign": lambda instance: instance.sign(b"k", b"m"),
-    "verify": lambda instance: instance.verify(b"k", b"m", b"s"),
-}
+_PLAN = RunPlan(warmup=1, runs=3)
+
+
+def _benchmark(backend: StubBackend) -> None:
+    benchmark_variant(SchemeInstance(make_stub_descriptor(), backend), _PLAN)
 
 
 class TestInstanceGuards:
-    @pytest.mark.parametrize("op", sorted(_OPS))
+    """benchmark_variant's checks on a backend, made outside the timed windows."""
+
+    @pytest.mark.parametrize("op", ["keypair", "sign", "verify"])
     def test_chainsig_error_passes_through(self, op):
         error = BackendFailure("malformed key bytes")
-        instance = SchemeInstance(make_stub_descriptor(), RaisingBackend(error))
         with pytest.raises(BackendFailure) as info:
-            _OPS[op](instance)
+            _benchmark(_raising(op, error))
         assert info.value is error
         assert str(info.value) == "malformed key bytes"
 
-    @pytest.mark.parametrize("op", ["keypair", "verify"])
+    @pytest.mark.parametrize("op", ["keypair", "sign", "verify"])
     def test_other_backend_exceptions_wrapped(self, op):
+        # raised in the op's first call, a warm-up call of time_operation
         error = RuntimeError("boom")
-        instance = SchemeInstance(make_stub_descriptor(), RaisingBackend(error))
         with pytest.raises(BackendFailure) as info:
-            _OPS[op](instance)
+            _benchmark(_raising(op, error))
         assert str(info.value) == f"Stub-A: {op} failed in backend: boom"
         assert info.value.__cause__ is error
 
@@ -153,37 +152,27 @@ class TestInstanceGuards:
         for kind in (bytearray, BytesSubclass):
 
             class ConvertingBackend(StubBackend):
+                def __init__(self):
+                    self.received = []
+
                 def keypair(self):
-                    return kind(b"pk"), kind(b"sk")
+                    return tuple(kind(key) for key in super().keypair())
 
                 def sign(self, secret_key, message):
-                    return kind(b"sig")
+                    self.received.append(secret_key)
+                    return kind(super().sign(secret_key, message))
 
-            instance = SchemeInstance(make_stub_descriptor(), ConvertingBackend())
-            public_key, secret_key = instance.keypair()
-            signature = instance.sign(secret_key, b"m")
-            results = (public_key, secret_key, signature)
-            assert [type(value) for value in results] == [bytes] * 3, kind
-            assert results == (b"pk", b"sk", b"sig"), kind
+                def verify(self, public_key, message, signature):
+                    self.received += [public_key, signature]
+                    return super().verify(public_key, message, signature)
 
-    def test_exact_bytes_results_are_not_copied(self):
-        # longer than one byte, so a copy would be a new object (CPython
-        # shares its one-byte bytes); bytes() hands exact bytes back as
-        # they are, so this pins the guard's contract, not its cost
-        public, secret, signature = (bytes([value]) * 40 for value in (1, 2, 3))
-
-        class FixedBackend(StubBackend):
-            def keypair(self):
-                return public, secret
-
-            def sign(self, secret_key, message):
-                return signature
-
-        instance = SchemeInstance(make_stub_descriptor(), FixedBackend())
-        public_key, secret_key = instance.keypair()
-        assert public_key is public
-        assert secret_key is secret
-        assert instance.sign(secret_key, b"m") is signature
+            backend = ConvertingBackend()
+            _benchmark(backend)
+            # the signing key per timed and pool sign, then a key and a
+            # pool signature per timed verify: each one exact bytes
+            timed = _PLAN.warmup + _PLAN.runs
+            assert len(backend.received) == timed + _PLAN.runs + 2 * timed, kind
+            assert {type(value) for value in backend.received} == {bytes}, kind
 
     def test_keypair_is_a_pair(self):
         pair = make_stub_instance().keypair()
@@ -191,40 +180,33 @@ class TestInstanceGuards:
         assert len(pair) == 2
 
     def test_backend_exception_wrapped(self):
-        class ExplodingBackend(StubBackend):
-            def sign(self, secret_key, message):
-                raise RuntimeError("boom")
-
-        instance = SchemeInstance(make_stub_descriptor(), ExplodingBackend())
-        with pytest.raises(BackendFailure, match="sign failed"):
-            instance.sign(b"k", b"m")
+        # raised in the untimed calls: the keypair that signs, and the
+        # first signature of the verify pool
+        timed = _PLAN.warmup + _PLAN.runs
+        for op in ("keypair", "sign"):
+            error = RuntimeError("boom")
+            with pytest.raises(BackendFailure) as info:
+                _benchmark(_raising(op, error, after=timed))
+            assert str(info.value) == f"Stub-A: {op} failed in backend: boom"
+            assert info.value.__cause__ is error
 
     def test_empty_signature_rejected(self):
         class EmptySigBackend(StubBackend):
             def sign(self, secret_key, message):
                 return b""
 
-        instance = SchemeInstance(make_stub_descriptor(), EmptySigBackend())
-        with pytest.raises(BackendFailure, match="empty signature"):
-            instance.sign(b"k", b"m")
+        with pytest.raises(BackendFailure, match="^Stub-A: backend produced an empty signature$"):
+            _benchmark(EmptySigBackend())
 
     def test_empty_key_rejected(self):
-        class EmptyKeyBackend(StubBackend):
-            def keypair(self):
-                return b"", b""
+        for pair in ((b"", b""), (b"", b"sk"), (b"pk", b"")):
 
-        instance = SchemeInstance(make_stub_descriptor(), EmptyKeyBackend())
-        with pytest.raises(BackendFailure, match="empty key"):
-            instance.keypair()
+            class EmptyKeyBackend(StubBackend):
+                def keypair(self):
+                    return pair
 
-    def test_verify_result_is_bool(self):
-        class TruthyBackend(StubBackend):
-            def verify(self, public_key, message, signature):
-                return 1
-
-        instance = SchemeInstance(make_stub_descriptor(), TruthyBackend())
-        result = instance.verify(b"k", b"m", b"s")
-        assert result is True
+            with pytest.raises(BackendFailure, match="^Stub-A: backend produced an empty key$"):
+                _benchmark(EmptyKeyBackend())
 
 
 def _refuse(descriptor):
@@ -287,7 +269,7 @@ class TestRegistry:
     def test_env_override_routes_to_stub(self, monkeypatch):
         monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
         instance = instantiate(by_variant()["P-256"])
-        assert isinstance(instance._backend, StubBackend)
+        assert isinstance(instance.backend, StubBackend)
         pk, sk = instance.keypair()
         sig = instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig)
@@ -297,7 +279,7 @@ class TestRegistry:
         caplog.set_level(logging.INFO, logger="chainsig.schemes.registry")
         for variant in ("P-256", "P-384", "P-521"):
             instance = instantiate(by_variant()[variant])
-            assert isinstance(instance._backend, EcdsaBackend)
+            assert isinstance(instance.backend, EcdsaBackend)
             assert f"{variant} via ecdsa" in caplog.messages
 
     def test_first_working_candidate_wins(self, monkeypatch, caplog):
@@ -306,7 +288,7 @@ class TestRegistry:
         monkeypatch.setattr(registry, "get_provider", providers.__getitem__)
         caplog.set_level(logging.INFO, logger="chainsig.schemes.registry")
         instance = instantiate(by_variant()["ML-DSA-44"])
-        assert isinstance(instance._backend, StubBackend)
+        assert isinstance(instance.backend, StubBackend)
         assert caplog.messages == ["ML-DSA-44 via pqclean"]
 
     def test_every_refusal_is_joined(self, monkeypatch):
