@@ -263,7 +263,7 @@ def _cpu_model() -> str:
                     return line.split(":", 1)[1].strip()
     except OSError:
         pass
-    import platform  # reached only from probe_environment, like the import there
+    import platform  # reached only from probe_environment, like _os_descriptor's
 
     return platform.processor() or platform.machine() or "unknown"
 
@@ -276,14 +276,46 @@ def _memory_bytes() -> int:
         return 0
 
 
+#: platform.platform()'s substitutions, which keep the text fit for a file name
+_UNSAFE_IN_NAMES = str.maketrans(
+    {" ": "_", "/": "-", "\\": "-", ":": "-", ";": "-", '"': "-", "(": "-", ")": "-"}
+)
+
+
+def _os_descriptor() -> str:
+    """platform.platform()'s text, built without starting a process on glibc.
+
+    platform.platform() reads the processor field of platform.uname(),
+    which on Linux runs `uname -p` in a subprocess; the text drops that
+    field when it is empty, "unknown" or the machine name, as it is on
+    common Linux hosts. With glibc the rest is os.uname() and glibc's own
+    version string, joined and cleaned as platform.platform() does. Any
+    other host gets platform.platform() itself.
+    """
+    uname = os.uname()
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    parts = libc.split(maxsplit=1)  # "glibc 2.36"
+    if uname.sysname != "Linux" or len(parts) != 2:
+        import platform  # only a measuring run probes, so a replay never loads platform
+
+        return platform.platform()
+    fields = (uname.sysname, uname.release, uname.machine, "with", "".join(parts))
+    text = "-".join(field.strip() for field in fields if field)
+    text = text.translate(_UNSAFE_IN_NAMES).replace("unknown", "")
+    while "--" in text:
+        text = text.replace("--", "-")
+    return text.rstrip("-")
+
+
 def probe_environment() -> EnvironmentInfo:
     """Best-effort host introspection; unknown fields degrade gracefully."""
-    import platform  # only a measuring run probes its host, so a replay never loads platform
-
     return EnvironmentInfo(
         cpu_model=_cpu_model(),
         memory_bytes=_memory_bytes(),
-        os_descriptor=platform.platform(),
+        os_descriptor=_os_descriptor(),
         timer_resolution_ns=measure_timer_resolution(),
     )
 

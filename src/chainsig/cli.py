@@ -234,6 +234,23 @@ def _timed(timings: dict[str, float], key: str) -> Iterator[None]:
     timings[key] = time.perf_counter() - started
 
 
+def _sha256_hex(data: bytes) -> str:
+    """data's SHA-256 in hex, from Python's builtin module where there is one.
+
+    `hashlib` maps the system libcrypto to serve a digest that `_sha2`
+    (Python 3.12 on) or `_sha256` (3.10 and 3.11) computes bit for bit the
+    same; random.py takes its SHA-512 from `_sha2` for the same reason.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
     """A replay CSV's rows, and the `replayed_from` entry that names them.
 
@@ -242,8 +259,6 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
     simulation rows, rows from more than one machine or rows whose labels
     are not the catalog's is refused with one IoFailure line naming it.
     """
-    import hashlib  # only a replay hashes its input, and hashlib loads the system libcrypto
-
     try:
         data = path.read_bytes()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
@@ -278,9 +293,7 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
                 f" level {row.level}, but the catalog has {descriptor.family}"
                 f" level {descriptor.level}"
             )
-    return rows, {
-        "path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "machines": machines
-    }
+    return rows, {"path": str(path), "sha256": _sha256_hex(data), "machines": machines}
 
 
 def _replayed(

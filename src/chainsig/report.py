@@ -212,11 +212,14 @@ def _fields(row: ReportRow) -> list[str]:
 
 
 def _csv_text(fields: list[str]) -> str:
-    """fields as write_csv writes them, without the line end."""
+    """fields as write_csv writes them, kept on one line for an error message.
+
+    The line end is dropped, and a CR or LF inside a quoted field shows as \\r or \\n.
+    """
     buffer = io.StringIO()
     # write_csv's line end, so that a field holding a newline is quoted as in the file
     csv.writer(buffer, lineterminator="\n").writerow(fields)
-    return buffer.getvalue()[:-1]
+    return buffer.getvalue()[:-1].replace("\r", "\\r").replace("\n", "\\n")
 
 
 def write_csv(

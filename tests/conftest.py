@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,14 @@ def two_pass_mean_std(samples: list[float]) -> tuple[float, float]:
         return mean, 0.0
     variance = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
     return mean, math.sqrt(variance)
+
+
+def has_glibc() -> bool:
+    """Whether the C library is glibc, which names its version through confstr."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
 def flip_byte(blob: bytes) -> bytes:

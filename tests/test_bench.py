@@ -32,6 +32,7 @@ from chainsig.schemes.stub import StubBackend
 from conftest import (
     BrokenStubBackend,
     close,
+    has_glibc,
     make_stub_descriptor,
     make_stub_instance,
     two_pass_mean_std,
@@ -390,6 +391,21 @@ class TestProbeEnvironment:
         assert first.cpu_model == second.cpu_model
         assert first.os_descriptor == second.os_descriptor
         assert first.memory_bytes == second.memory_bytes
+
+    @pytest.mark.skipif(not has_glibc(), reason="the probe starts no process on glibc hosts only")
+    def test_os_descriptor_is_platform_text_without_a_process(self, monkeypatch):
+        import platform
+        import subprocess
+
+        expected = platform.platform()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the probe started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        # a fresh platform module, with no cached uname, if the probe imports one
+        monkeypatch.delitem(sys.modules, "platform")
+        assert probe_environment().os_descriptor == expected
 
 
 class TestBenchmarkVariant:

@@ -8,6 +8,7 @@ import itertools
 import json
 import logging
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -540,6 +541,19 @@ class TestRunPipeline:
             "machines": sorted({row.machine for row in parse_csv(replay_csv).rows}),
         }
 
+    @pytest.mark.parametrize(
+        "blocked", [("hashlib",), ("_sha2", "_sha256")], ids=["builtin", "hashlib-fallback"]
+    )
+    def test_replay_digest_is_sha256_on_each_branch(self, monkeypatch, blocked):
+        # a None entry in sys.modules makes importing that name fail: with
+        # hashlib blocked the digest comes from _sha2 or _sha256, and with
+        # both of those blocked from hashlib
+        data = f"{CSV_HEADER}\n{_P256_VERIFY}\n".encode() * 100
+        expected = hashlib.sha256(data).hexdigest()
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        assert cli._sha256_hex(data) == expected
+
     def test_replay_is_deterministic(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
         run_pipeline(source)
@@ -760,12 +774,17 @@ class TestMain:
                 'line 3: expected 10 fields, got 7: h,"EC,DSA",P-256,1,Benchmark,,verify',
             ),
             (
+                # a quoted newline is printed escaped, so the message stays one line
+                f'{CSV_HEADER}\n{_P256_VERIFY}\nh,"EC\nDSA",P-256,1,Benchmark,,verify\n',
+                'line 3: expected 10 fields, got 7: h,"EC\\nDSA",P-256,1,Benchmark,,verify',
+            ),
+            (
                 f"{CSV_HEADER}\n{_P256_VERIFY}\n\n{_P256_VERIFY}\n",
                 "line 4: duplicate result row for h,ECDSA,P-256,1,Benchmark,,verify,"
                 " first on line 2",
             ),
         ],
-        ids=["header", "malformed-row", "field-count", "duplicate-row"],
+        ids=["header", "malformed-row", "field-count", "quoted-newline", "duplicate-row"],
     )
     def test_unparsable_replay_exits_1(self, tmp_path, capsys, body, expected):
         replay_csv = tmp_path / "replay.csv"

@@ -5,8 +5,10 @@ not even one that simulates, and none but the liboqs binding's loads
 ctypes. Records are named tuples and the manifest's timestamp comes from
 `time`, so chainsig loads neither `dataclasses` (and with it `inspect`)
 nor `datetime`; only `cryptography`, in an ECDSA run, loads the first.
-`platform` loads only when a run probes its host, and `hashlib` only
-when a replay hashes its CSV or the stub backend tags a message.
+Neither a replay nor a stub run loads `hashlib`, which maps the system
+libcrypto: a replay hashes its CSV with `_sha2` or `_sha256`, and the
+stub tags with `_blake2`. On glibc the probe builds its host text from
+`os`, so a run loads `platform` (and `subprocess`) only elsewhere.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from chainsig.report import Operation, ReportDataset, ReportRow, Stage, write_csv
+from conftest import has_glibc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,11 +45,18 @@ UNUSED_BY_REPLAY = (
 #: through `cryptography`
 HEAVY_STDLIB = ("dataclasses", "inspect", "datetime")
 
+#: hashlib loads _hashlib, which maps the system libcrypto
+HASHLIB = ("hashlib", "_hashlib")
+
 #: a small live run: the two level-1 Falcon variants, measured briefly
 LIVE_ARGS = (
     "--families", "Falcon", "Falcon-padded", "--levels", "1", "--runs", "5", "--warm-up", "1",
     "--runs-simulator", "3", "--output-dir", "out",
 )
+
+
+#: what the probe loads: nothing on glibc, platform.platform() elsewhere
+PROBE = () if has_glibc() else ("platform", "subprocess")
 
 
 def _child(code: str, tmp_path: Path, provider: str | None = None) -> object:
@@ -83,11 +93,12 @@ def _loaded_after(
 
 
 def test_import_loads_no_backend(tmp_path):
-    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, "platform", "hashlib")
+    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, *HASHLIB, "platform", "subprocess")
     assert _loaded_after("import chainsig.cli", tmp_path, watched) == set()
 
 
-def test_replay_loads_no_backend(tmp_path):
+def _replay_code(tmp_path: Path) -> str:
+    """Code that replays a one-variant CSV it writes to tmp_path into tmp_path/out."""
     replay = tmp_path / "replay.csv"
     write_csv(
         ReportDataset(
@@ -98,14 +109,21 @@ def test_replay_loads_no_backend(tmp_path):
         ),
         replay,
     )
-    code = (
+    return (
         "from chainsig.cli import main\n"
         "assert main(['--families', 'ECDSA', '--levels', '1', '--runs-simulator', '3',"
         f" '--replay-benchmarks', {str(replay)!r}, '--output-dir', 'out']) == 0"
     )
-    # the replay hashes its CSV, so it may load hashlib
-    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, "platform")
-    assert _loaded_after(code, tmp_path, watched) == set()
+
+
+#: a short stub run that measures and simulates
+STUB_RUN = f"from chainsig.cli import main\nassert main({list(LIVE_ARGS)!r}) == 0"
+
+
+def test_replay_loads_no_backend(tmp_path):
+    # a replay probes no host, so it loads neither platform nor subprocess
+    watched = (*UNUSED_BY_REPLAY, *HEAVY_STDLIB, *HASHLIB, "platform", "subprocess")
+    assert _loaded_after(_replay_code(tmp_path), tmp_path, watched) == set()
     assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
@@ -128,9 +146,24 @@ def test_run_without_simulation_never_loads_numpy(tmp_path):
 
 
 def test_stub_run_loads_no_heavy_stdlib(tmp_path):
-    # the probe stage loads platform, and the stub's BLAKE2s tag hashlib
-    code = f"from chainsig.cli import main\nassert main({list(LIVE_ARGS)!r}) == 0"
-    assert _loaded_after(code, tmp_path, HEAVY_STDLIB, provider="stub") == set()
+    watched = (*HEAVY_STDLIB, *HASHLIB, "platform", "subprocess")
+    loaded = _loaded_after(STUB_RUN, tmp_path, watched, provider="stub")
+    assert loaded == set(PROBE)
+    assert (tmp_path / "out" / "simulation.csv").is_file()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("run", ["stub", "replay"])
+def test_no_libcrypto_is_mapped(tmp_path, run):
+    # a replay and a stub run take their hashes from Python's builtin
+    # modules, so neither maps the system libcrypto through hashlib
+    code = STUB_RUN if run == "stub" else _replay_code(tmp_path)
+    script = (
+        f"import json\n{code}\n"
+        "with open('/proc/self/maps', encoding='utf-8') as maps:\n"
+        "    print(json.dumps(sorted({line.split()[-1] for line in maps if 'libcrypto' in line})))"
+    )
+    assert _child(script, tmp_path, "stub" if run == "stub" else None) == []
     assert (tmp_path / "out" / "simulation.csv").is_file()
 
 

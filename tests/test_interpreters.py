@@ -3,11 +3,15 @@
 The simulator promises the same draws for a seed on every Python, and a
 replay promises byte-identical CSVs and charts. This runs one replay
 in-process and again under each other python3.N on PATH, and compares
-the outputs byte for byte.
+the outputs byte for byte. Each manifest must also name the source CSV
+by its SHA-256, which a replay takes from `_sha2` (Python 3.12 on) or
+`_sha256` (3.10 and 3.11).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -54,6 +58,11 @@ def _outputs(output_dir: Path) -> dict[str, bytes]:
     }
 
 
+def _replayed_sha256(output_dir: Path) -> str:
+    manifest = json.loads((output_dir / "manifest.json").read_text(encoding="utf-8"))
+    return manifest["replayed_from"]["sha256"]
+
+
 def test_replay_is_byte_identical_under_other_interpreters(tmp_path):
     interpreters = _other_interpreters()
     if not interpreters:
@@ -81,8 +90,10 @@ def test_replay_is_byte_identical_under_other_interpreters(tmp_path):
         "--seed", "7", "--runs-simulator", "200",
     ]
 
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
     assert main([*argv, "--output-dir", str(tmp_path / "here")]) == 0
     expected = _outputs(tmp_path / "here")
+    assert _replayed_sha256(tmp_path / "here") == digest
     assert {"benchmark.csv", "simulation.csv", "simulation_bitcoin_level5.svg"} <= set(expected)
 
     # the child sees chainsig's source and nothing of this interpreter's path
@@ -101,3 +112,4 @@ def test_replay_is_byte_identical_under_other_interpreters(tmp_path):
         assert sorted(produced) == sorted(expected), executable
         differing = [name for name in expected if produced[name] != expected[name]]
         assert differing == [], executable
+        assert _replayed_sha256(output_dir) == digest, executable

@@ -173,7 +173,7 @@ class TestDataset:
         with pytest.raises(IoFailure) as caught:
             parse_csv(io.StringIO(text))
         assert str(caught.value) == (
-            'line 2: expected 10 fields, got 7: h,"EC\nDSA",P-256,1,Benchmark,,verify'
+            'line 2: expected 10 fields, got 7: h,"EC\\nDSA",P-256,1,Benchmark,,verify'
         )
 
     def test_duplicate_rows_rejected(self):
