@@ -292,13 +292,12 @@ def _os_descriptor() -> str:
     version string, joined and cleaned as platform.platform() does. Any
     other host gets platform.platform() itself.
     """
-    uname = os.uname()
     try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+        uname = os.uname()
+        parts = (os.confstr("CS_GNU_LIBC_VERSION") or "").split(maxsplit=1)  # "glibc 2.36"
     except (AttributeError, ValueError, OSError):
-        libc = ""
-    parts = libc.split(maxsplit=1)  # "glibc 2.36"
-    if uname.sysname != "Linux" or len(parts) != 2:
+        parts = []
+    if len(parts) != 2 or uname.sysname != "Linux":
         import platform  # only a measuring run probes, so a replay never loads platform
 
         return platform.platform()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import logging
 import sys
@@ -34,21 +35,10 @@ from .errors import (
     UsageError,
 )
 from .report import (
-    LevelGroup,
-    Operation,
-    ReportDataset,
-    ReportRow,
-    Stage,
-    level_group,
-    parse_csv,
-    render_bar_chart,
-    synthesize,
-    write_csv,
+    LevelGroup, Operation, ReportDataset, ReportRow, Stage, level_group, parse_csv,
+    render_bar_chart, synthesize, write_csv,
 )
-from .schemes import (
-    FAMILY_ORDER, VALID_LEVELS, VariantDescriptor, by_variant, catalog, filter_by_levels,
-    instantiate,
-)
+from .schemes import FAMILY_ORDER, VALID_LEVELS, VariantDescriptor, by_variant, catalog, instantiate
 from .sim import ChainModel, SimulationConfig, config_echo, simulate_batch
 
 logger = logging.getLogger(__name__)
@@ -61,6 +51,9 @@ DEFAULT_LEVELS = frozenset({1, 2, 3, 5})
 _COMMENTED = (
     "runs", "warmup", "levels", "models", "runs_simulator", "seed", "message_len", "families"
 )
+
+#: the settings a measurement used, which a replay echoes from its source CSV
+_MEASURED = ("runs", "warmup", "message_len")
 
 
 def _plain(value: object) -> object:
@@ -221,17 +214,29 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
     return CliConfig()._replace(**given)
 
 
-def _config_comments(config: CliConfig) -> list[str]:
-    plain = config.to_dict()
-    return [f"{name}={_text(plain[name], ',')}" for name in _COMMENTED]
+def _config_comments(config: CliConfig, source: dict[str, str] | None) -> list[str]:
+    """config's comment lines; a replay states its source CSV's measurement settings, if any."""
+    texts = {name: _text(value, ",") for name, value in config.to_dict().items()}
+    if source is not None:
+        texts.update({name: source.get(name) for name in _MEASURED})
+    return [f"{name}={texts[name]}" for name in _COMMENTED if texts[name] is not None]
 
 
 @contextlib.contextmanager
-def _timed(timings: dict[str, float], key: str) -> Iterator[None]:
-    """Record the block's wall seconds under timings[key] once it completes."""
+def _stage(timings: dict[str, float], key: str) -> Iterator[list[str]]:
+    """Time the block into timings[key], then log the line it appended, ending `in <s> s`."""
+    line: list[str] = []
     started = time.perf_counter()
-    yield
+    yield line
     timings[key] = time.perf_counter() - started
+    if line:  # a block that appends no line logs nothing
+        logger.info("%s in %.2f s", line[0], timings[key])
+
+
+def _skip(skipped: list[dict[str, str]], variant: str, reason: str) -> None:
+    """Warn that variant is skipped, and why, and add its entry to skipped."""
+    logger.warning("skipping %s: %s", variant, reason)
+    skipped.append({"variant": variant, "reason": reason})
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -251,10 +256,11 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
-    """A replay CSV's rows, and the `replayed_from` entry that names them.
+def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict, dict[str, str]]:
+    """A replay CSV's rows, the `replayed_from` entry that names them, and its settings.
 
-    The file is read once and decoded as Path.read_text decodes it, so the
+    The settings are the `# name=value` lines above the header. The file
+    is read once and decoded as Path.read_text decodes it, so the
     sha256 is that of the bytes parsed. A file that does not parse, holds
     simulation rows, rows from more than one machine or rows whose labels
     are not the catalog's is refused with one IoFailure line naming it.
@@ -293,7 +299,9 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict]:
                 f" level {row.level}, but the catalog has {descriptor.family}"
                 f" level {descriptor.level}"
             )
-    return rows, {"path": str(path), "sha256": _sha256_hex(data), "machines": machines}
+    comments = itertools.takewhile(lambda line: line.startswith("#"), text.split("\n"))
+    settings = dict(line[1:].strip().split("=", 1) for line in comments if "=" in line)
+    return rows, {"path": str(path), "sha256": _sha256_hex(data), "machines": machines}, settings
 
 
 def _replayed(
@@ -306,9 +314,7 @@ def _replayed(
     skipped: list[dict[str, str]] = []
     for descriptor in selected:
         if descriptor.variant not in present:
-            reason = "not present in the replayed benchmark CSV"
-            logger.warning("skipping %s: %s", descriptor.variant, reason)
-            skipped.append({"variant": descriptor.variant, "reason": reason})
+            _skip(skipped, descriptor.variant, "not present in the replayed benchmark CSV")
     return dataset, skipped
 
 
@@ -321,12 +327,11 @@ def _measure(
     seconds: dict[str, float] = {}
     for done, descriptor in enumerate(selected, start=1):
         variant = descriptor.variant
-        with _timed(seconds, variant):
+        with _stage(seconds, variant):
             try:
                 records.append(benchmark_variant(instantiate(descriptor), plan))
             except (UnsupportedVariant, BackendFailure, CorrectnessViolation) as exc:
-                logger.warning("skipping %s: %s", variant, exc)
-                skipped.append({"variant": variant, "reason": str(exc)})
+                _skip(skipped, variant, str(exc))
                 continue
         logger.info(
             "%s measured in %.2f s (%d/%d, ETA %.1f s)",
@@ -360,34 +365,30 @@ def _simulate(
 
 
 def _write_report(
-    output_dir: Path,
-    name: str,
-    dataset: ReportDataset,
-    comments: list[str],
-    charts: Sequence[tuple[ReportDataset, tuple[Operation, ...], str, str]],
+    output_dir: Path, name: str, dataset: ReportDataset, comments: list[str]
 ) -> list[str]:
-    """Write dataset to <name>.csv, then the charts; the file names written, in order.
+    """Write dataset to <name>.csv, then its charts; the file names written, in order.
 
-    Each (rows, series, title, prefix) in charts gets one chart per level
-    group its rows reach.
+    Benchmark rows get a chart of all three operations, and simulation rows
+    a verify chart per chain model, for each level group the rows reach.
     """
     csv_path = output_dir / f"{name}.csv"
     write_csv(dataset, csv_path, comments=comments)
     written = [csv_path.name]
-    for rows, series, title, prefix in charts:
+    charts = [(None, tuple(Operation), "Signature operation latency", "benchmark")] + [
+        (model, (Operation.VERIFY,), f"{model.label} mean block verification time",
+         f"simulation_{model.label.lower()}")
+        for model in ChainModel
+    ]
+    for model, series, title, prefix in charts:
+        rows = dataset.filter(model=model)
+        groups = {level_group(row.level) for row in rows.rows}
         for group in LevelGroup:
-            if any(level_group(row.level) is group for row in rows.rows):
+            if group in groups:
                 chart = f"{prefix}_{group.name.lower()}.svg"
                 render_bar_chart(rows, f"{title}, {group.value}", group, series, output_dir / chart)
                 written.append(chart)
     return written
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    try:
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def run_pipeline(config: CliConfig) -> int:
@@ -397,14 +398,12 @@ def run_pipeline(config: CliConfig) -> int:
     """
     timings: dict[str, float] = {}
     replayed_from: dict | None = None
+    source: dict[str, str] | None = None
     if config.replay_benchmarks is not None:
         # a refused replay CSV fails before anything is created on disk
-        with _timed(timings, "replay"):
-            replayed, replayed_from = _load_replay(config.replay_benchmarks)
-        logger.info(
-            "replay: %d rows read from %s in %.2f s",
-            len(replayed), config.replay_benchmarks, timings["replay"],
-        )
+        with _stage(timings, "replay") as line:
+            replayed, replayed_from, source = _load_replay(config.replay_benchmarks)
+            line.append(f"replay: {len(replayed)} rows read from {config.replay_benchmarks}")
 
     output_dir = config.output_dir
     try:
@@ -412,9 +411,10 @@ def run_pipeline(config: CliConfig) -> int:
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {output_dir}: {exc}") from exc
 
-    selected = filter_by_levels(catalog(), config.levels)
-    if config.families is not None:
-        selected = [d for d in selected if d.family in config.families]
+    selected = [
+        d for d in catalog()
+        if d.level in config.levels and (config.families is None or d.family in config.families)
+    ]
     if not selected:
         logger.warning("no variants at the selected levels")
 
@@ -424,68 +424,37 @@ def run_pipeline(config: CliConfig) -> int:
     if replayed_from is not None:
         bench_dataset, skipped = _replayed(replayed, selected)
     else:
-        with _timed(timings, "probe"):
+        with _stage(timings, "probe") as line:
             environment = probe_environment()
-        logger.info(
-            "host: %s, timer resolution %.0f ns, probed in %.2f s",
-            environment.cpu_model, environment.timer_resolution_ns, timings["probe"],
-        )
+            line.append(
+                f"host: {environment.cpu_model}, timer resolution"
+                f" {environment.timer_resolution_ns:.0f} ns, probed"
+            )
         plan = RunPlan(warmup=config.warmup, runs=config.runs, message_len=config.message_len)
-        with _timed(timings, "benchmark"):
+        with _stage(timings, "benchmark") as line:
             records, skipped, variant_seconds = _measure(selected, plan)
-        logger.info(
-            "benchmark: %d of %d variants measured in %.2f s",
-            len(records), len(selected), timings["benchmark"],
-        )
+            line.append(f"benchmark: {len(records)} of {len(selected)} variants measured")
         bench_dataset = synthesize(records, machine=environment.cpu_model)
 
-    latency = (Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY)
-    with _timed(timings, "benchmark_report"):
-        outputs = _write_report(
-            output_dir,
-            "benchmark",
-            bench_dataset,
-            _config_comments(config),
-            [(bench_dataset, latency, "Signature operation latency", "benchmark")],
-        )
-    logger.info(
-        "report: %d benchmark files written in %.2f s", len(outputs), timings["benchmark_report"]
-    )
+    comments = _config_comments(config, source)
+    with _stage(timings, "benchmark_report") as line:
+        outputs = _write_report(output_dir, "benchmark", bench_dataset, comments)
+        line.append(f"report: {len(outputs)} benchmark files written")
 
     if not config.skip_simulation:
         sim_configs = {
             model: SimulationConfig(model, runs=config.runs_simulator, seed=config.seed)
             for model in config.models
         }
-        with _timed(timings, "simulation"):
+        with _stage(timings, "simulation") as line:
             sim_dataset = _simulate(bench_dataset.rows, sim_configs)
-        logger.info(
-            "simulation: %d batches in %.2f s", len(sim_dataset.rows), timings["simulation"]
-        )
+            line.append(f"simulation: {len(sim_dataset.rows)} batches")
 
-        sim_comments = _config_comments(config)
         for model, sim_config in sim_configs.items():
-            sim_comments.extend(f"{model.label.lower()}.{line}" for line in config_echo(sim_config))
-        with _timed(timings, "simulation_report"):
-            written = _write_report(
-                output_dir,
-                "simulation",
-                sim_dataset,
-                sim_comments,
-                [
-                    (
-                        sim_dataset.filter(model=model),
-                        (Operation.VERIFY,),
-                        f"{model.label} mean block verification time",
-                        f"simulation_{model.label.lower()}",
-                    )
-                    for model in config.models
-                ],
-            )
-        logger.info(
-            "report: %d simulation files written in %.2f s",
-            len(written), timings["simulation_report"],
-        )
+            comments.extend(f"{model.label.lower()}.{echo}" for echo in config_echo(sim_config))
+        with _stage(timings, "simulation_report") as line:
+            written = _write_report(output_dir, "simulation", sim_dataset, comments)
+            line.append(f"report: {len(written)} simulation files written")
         outputs.extend(written)
 
     manifest = {
@@ -499,11 +468,13 @@ def run_pipeline(config: CliConfig) -> int:
     }
     if replayed_from is not None:
         manifest["replayed_from"] = replayed_from
-    _write_manifest(output_dir / "manifest.json", manifest)
+    path = output_dir / "manifest.json"
+    try:
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
-    if skipped or not selected:
-        return 2
-    return 0
+    return 2 if skipped or not selected else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

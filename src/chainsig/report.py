@@ -148,7 +148,7 @@ class ReportDataset(Validated, _ReportDataset):
                 raise DuplicateRow(f"duplicate result row for {key}")
             seen.add(row.key)
 
-    def filter(self, model: ChainModel) -> "ReportDataset":
+    def filter(self, model: ChainModel | None) -> "ReportDataset":
         return ReportDataset(tuple(row for row in self.rows if row.model is model))
 
 
@@ -355,19 +355,8 @@ def render_bar_chart(
         if cell in values:
             raise DuplicateRow(f"two rows for variant {row.variant!r} {row.operation.value}")
         values[cell] = row
-
-    def variant_order(row: ReportRow) -> tuple:
-        return (
-            _FAMILY_INDEX.get(row.family, len(_FAMILY_INDEX)),
-            row.family,
-            row.level,
-            row.variant,
-        )
-
-    variants = []
-    for row in sorted(rows, key=variant_order):
-        if row.variant not in variants:
-            variants.append(row.variant)
+    # bars in the order the CSV lists their rows
+    variants = list(dict.fromkeys(row.variant for row in sorted(rows, key=_sort_key)))
 
     width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 80, 24, 56, 120

@@ -7,7 +7,6 @@ from .catalog import (
     VariantDescriptor,
     by_variant,
     catalog,
-    filter_by_levels,
 )
 from .registry import PROVIDER_ENV, get_provider, instantiate
 
@@ -20,7 +19,6 @@ __all__ = [
     "VariantDescriptor",
     "by_variant",
     "catalog",
-    "filter_by_levels",
     "get_provider",
     "instantiate",
 ]

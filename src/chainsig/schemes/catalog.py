@@ -130,17 +130,6 @@ def catalog() -> list[VariantDescriptor]:
     ]
 
 
-def filter_by_levels(
-    descriptors: list[VariantDescriptor], levels: set[int] | frozenset[int]
-) -> list[VariantDescriptor]:
-    """Subset of descriptors whose level is in levels, order preserved.
-
-    Expects levels within {1, 2, 3, 4, 5}; level 4 exists as a valid
-    selection that matches nothing.
-    """
-    return [d for d in descriptors if d.level in levels]
-
-
 def by_variant() -> dict[str, VariantDescriptor]:
     """Catalog indexed by variant string."""
     return {d.variant: d for d in catalog()}

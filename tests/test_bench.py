@@ -407,6 +407,14 @@ class TestProbeEnvironment:
         monkeypatch.delitem(sys.modules, "platform")
         assert probe_environment().os_descriptor == expected
 
+    def test_os_descriptor_without_uname_is_platform_text(self, monkeypatch):
+        # as on Windows, whose os module has no uname
+        import os
+        import platform
+
+        monkeypatch.delattr(os, "uname")
+        assert probe_environment().os_descriptor == platform.platform()
+
 
 class TestBenchmarkVariant:
     def test_sample_accounting(self):

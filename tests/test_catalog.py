@@ -1,4 +1,4 @@
-"""Catalog contents, ordering, and level filtering."""
+"""Catalog contents and ordering."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from chainsig.schemes import (
     VALID_LEVELS,
     by_variant,
     catalog,
-    filter_by_levels,
     instantiate,
     oqs,
     pqclean,
@@ -86,33 +85,6 @@ def test_provider_env_override_applies_to_all(monkeypatch):
     monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
     for descriptor in catalog():
         assert isinstance(instantiate(descriptor).backend, StubBackend)
-
-
-def test_filter_by_levels_subset_and_order():
-    full = catalog()
-    subset = filter_by_levels(full, {1, 5})
-    assert [d.variant for d in subset] == [
-        d.variant for d in full if d.level in {1, 5}
-    ]
-    assert len(subset) == GOLDEN_LEVEL_COUNTS[1] + GOLDEN_LEVEL_COUNTS[5]
-
-
-def test_filter_by_levels_level_4_is_empty():
-    assert filter_by_levels(catalog(), {4}) == []
-
-
-def test_filter_by_levels_level_2():
-    variants = {d.variant for d in filter_by_levels(catalog(), {2})}
-    assert variants == {"ML-DSA-44", "Dilithium2"}
-
-
-def test_filter_by_levels_empty_selection():
-    assert filter_by_levels(catalog(), set()) == []
-
-
-def test_filter_by_levels_all_levels_is_identity():
-    full = catalog()
-    assert filter_by_levels(full, {1, 2, 3, 4, 5}) == full
 
 
 @pytest.mark.parametrize("family", GOLDEN_FAMILY_ORDER)

@@ -220,6 +220,33 @@ def write_replay(path: Path, labels) -> Path:
 #: one benchmark row as the CSV holds it
 _P256_VERIFY = "h,ECDSA,P-256,1,Benchmark,,verify,1.0,0.0,5"
 
+#: every catalog variant on one machine, its rows out of catalog order;
+#: means from 0.003 to 30 ms, and four verify rows whose std is 1.5 times
+#: their mean, so that the simulator clamps negative draws
+_GOLDEN_REPLAY_CSV = Path(__file__).parent / "data" / "golden_catalog_replay.csv"
+
+#: SHA-256 of each file a replay of _GOLDEN_REPLAY_CSV writes with
+#: --runs-simulator 50 --seed 9
+_GOLDEN_REPLAY_DIGESTS = {
+    "benchmark.csv": "c5c523bef9e7878d408f322bb089b795582fc0755858c069a6083badad676734",
+    "benchmark_level3.svg": "f176490d2e7eaaddaacfe0eb0d1ba6d9efc9a9a72dddd3edccb994bc350b3617",
+    "benchmark_level5.svg": "83fdd5cfdc97f59069614fab3e0c4646552c82104b964aeca370ee201ccebec7",
+    "benchmark_lower.svg": "b0e5a320d44283f126e39fd204ddd600063ed9f4e2cdf2a5e918a02150254629",
+    "simulation.csv": "cd4ce9b874c36040923c4d0f4e36f79cfe2383eb4f5b4635e979e2404cdf7efc",
+    "simulation_bitcoin_level3.svg":
+        "cb4c0a3db8998b9cba955a84d4bec65bc02e30653d26cbb2692ef7299bcd3cc8",
+    "simulation_bitcoin_level5.svg":
+        "3059f51a5973e697de32f9239d26daca861925ce34eb145a74f2c68daab48f67",
+    "simulation_bitcoin_lower.svg":
+        "3acfe65d4bac02f029afa58c517d7ced9770d5d1e66a935421ebb16d3f585a90",
+    "simulation_ethereum_level3.svg":
+        "c93566add188b69f945f59e03f5d3b7541b26e66d0e7b37b9ac2b72670e77d34",
+    "simulation_ethereum_level5.svg":
+        "796d44ab29218115335ced510d653a9a87041d1244037e69351c03d982a7d48e",
+    "simulation_ethereum_lower.svg":
+        "fc4f4c0bc767e083f031f1c0695e4e9b9f137c249ef778a01f9e7641b9332963",
+}
+
 
 #: the INFO lines that print elapsed seconds, and the timings key each
 #: prints; None stands for the variant the line names
@@ -471,6 +498,86 @@ class TestRunPipeline:
             caplog.records[0].getMessage(),
         )
 
+    @pytest.mark.parametrize(
+        "levels,families,count",
+        [
+            ({1, 5}, None, 30),
+            ({2}, None, 2),
+            ({1, 2, 3, 4, 5}, None, 46),
+            ({3, 5}, ("Falcon", "ECDSA"), 3),
+            ({1, 2, 3, 5}, ("Mayo", "Dilithium"), 6),
+            ({2}, ("ECDSA",), 0),
+            ({4}, None, 0),
+            (set(), None, 0),
+        ],
+        ids=[
+            "levels-1-5", "level-2", "all-levels", "falcon-ecdsa-levels-3-5",
+            "mayo-dilithium", "ecdsa-level-2", "level-4", "no-levels",
+        ],
+    )
+    def test_selection_is_levels_by_families_in_catalog_order(
+        self, tmp_path, stub_provider, monkeypatch, levels, families, count
+    ):
+        tried = []
+        real_instantiate = cli.instantiate
+
+        def instantiate(descriptor):
+            tried.append(descriptor.variant)
+            return real_instantiate(descriptor)
+
+        monkeypatch.setattr(cli, "instantiate", instantiate)
+        config = tiny_config(
+            tmp_path, runs=1, warmup=0, levels=frozenset(levels), families=families,
+            skip_simulation=True,
+        )
+        # an empty selection is a partial success
+        assert run_pipeline(config) == (0 if count else 2)
+        assert tried == [
+            d.variant for d in catalog()
+            if d.level in levels and (families is None or d.family in families)
+        ]
+        assert len(tried) == count
+
+    def test_replay_states_the_settings_its_source_measured(self, tmp_path, stub_provider):
+        source = tiny_config(tmp_path, output_dir=tmp_path / "measured", message_len=16)
+        assert run_pipeline(source) == 0
+        replay = tiny_config(
+            tmp_path,
+            output_dir=tmp_path / "replayed",
+            runs=20,
+            warmup=2,
+            replay_benchmarks=source.output_dir / "benchmark.csv",
+        )
+        assert run_pipeline(replay) == 0
+        expected = [
+            "# runs=3",
+            "# warmup=1",
+            "# levels=2",
+            "# models=1,2",
+            "# runs_simulator=4",
+            "# seed=7",
+            "# message_len=16",
+            "# families=all",
+        ]
+        for name in ("benchmark.csv", "simulation.csv"):
+            lines = (replay.output_dir / name).read_text(encoding="utf-8").splitlines()
+            assert lines[:8] == expected, name
+
+    def test_replay_of_a_csv_without_settings_states_none(self, tmp_path):
+        replay_csv = write_replay(tmp_path / "replay.csv", [("ECDSA", "P-256", 1)])
+        config = tiny_config(
+            tmp_path, levels=frozenset({1}), families=("ECDSA",), replay_benchmarks=replay_csv
+        )
+        assert run_pipeline(config) == 0
+        text = (config.output_dir / "benchmark.csv").read_text(encoding="utf-8")
+        assert [line for line in text.splitlines() if line.startswith("#")] == [
+            "# levels=1",
+            "# models=1,2",
+            "# runs_simulator=4",
+            "# seed=7",
+            "# families=ECDSA",
+        ]
+
     def test_skip_simulation(self, tmp_path, stub_provider):
         config = tiny_config(tmp_path, skip_simulation=True)
         assert run_pipeline(config) == 0
@@ -575,6 +682,18 @@ class TestRunPipeline:
             )
         assert outputs[0] == outputs[1]
         assert "simulation.csv" in outputs[0]
+
+    def test_full_catalog_replay_matches_golden_digests(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["--replay-benchmarks", str(_GOLDEN_REPLAY_CSV), "--runs-simulator", "50",
+                "--seed", "9", "--output-dir", str(out)]
+        assert main(argv) == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.suffix in {".csv", ".svg"}
+        }
+        assert written == _GOLDEN_REPLAY_DIGESTS
 
     def test_simulation_rows_carry_their_verify_row_labels(self, tmp_path):
         replay_csv = write_replay(

@@ -26,3 +26,21 @@ def test_provider_list_is_the_registry():
     listed = re.search(r"`CHAINSIG_PROVIDER` forces a single provider [^(]*\(([^)]*)\)", text)
     assert listed is not None, "README no longer lists the CHAINSIG_PROVIDER names"
     assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(registry._PROVIDERS)
+
+
+def test_flag_table_is_the_parser():
+    # a flag added to the parser is listed in README's "Flags" table, and
+    # a flag the table lists is one the parser takes
+    from chainsig.cli import _build_parser
+
+    table = README.read_text(encoding="utf-8").split("\nFlags:\n", 1)[1].split("\n\n", 1)[0]
+    cells = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    listed = [code.split()[0] for cell in cells for code in re.findall(r"`([^`]+)`", cell)]
+    parsed = [
+        option
+        for action in _build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert sorted(listed) == sorted(parsed)
+    assert len(listed) == len(set(listed))
