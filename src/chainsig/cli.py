@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -38,12 +39,15 @@ from .report import (
     LevelGroup, Operation, ReportDataset, ReportRow, Stage, level_group, parse_csv,
     render_bar_chart, synthesize, write_csv,
 )
-from .schemes import FAMILY_ORDER, VALID_LEVELS, VariantDescriptor, by_variant, catalog, instantiate
+from .schemes import (
+    FAMILY_ORDER, PROVIDER_ENV, VALID_LEVELS, VariantDescriptor, by_variant, catalog,
+    get_provider, instantiate,
+)
 from .sim import ChainModel, SimulationConfig, config_echo, simulate_batch
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LEVELS = frozenset({1, 2, 3, 5})
+DEFAULT_LEVELS = frozenset(d.level for d in catalog())
 
 #: settings echoed as `# name=value` lines at the top of each CSV; output
 #: and input paths are left out so reruns with identical measurement
@@ -399,11 +403,17 @@ def run_pipeline(config: CliConfig) -> int:
     timings: dict[str, float] = {}
     replayed_from: dict | None = None
     source: dict[str, str] | None = None
+    # a refused replay CSV or provider name fails before anything is created on disk
     if config.replay_benchmarks is not None:
-        # a refused replay CSV fails before anything is created on disk
         with _stage(timings, "replay") as line:
             replayed, replayed_from, source = _load_replay(config.replay_benchmarks)
             line.append(f"replay: {len(replayed)} rows read from {config.replay_benchmarks}")
+    elif forced := os.environ.get(PROVIDER_ENV):
+        # a replay instantiates nothing, so only a measuring run checks the name
+        try:
+            get_provider(forced)
+        except UnsupportedVariant as exc:
+            raise UsageError(f"{PROVIDER_ENV}={forced}: {exc}") from exc
 
     output_dir = config.output_dir
     try:
@@ -416,7 +426,8 @@ def run_pipeline(config: CliConfig) -> int:
         if d.level in config.levels and (config.families is None or d.family in config.families)
     ]
     if not selected:
-        logger.warning("no variants at the selected levels")
+        in_families = "" if config.families is None else " in the selected families"
+        logger.warning("no variants at the selected levels%s", in_families)
 
     # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None

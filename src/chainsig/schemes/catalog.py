@@ -2,40 +2,38 @@
 
 Sixteen algorithm families, 46 variants overall, spread over NIST
 security levels 1, 2, 3 and 5 (no scheme in the set targets level 4).
-Classical ECDSA is included as the baseline; everything else is
-post-quantum.
+Classical ECDSA is included as the baseline; every other family is
+post-quantum. This table is the only list of variants: the CLI's default
+levels are the levels it holds, and the backends derive their library
+names from its variant strings.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-# (family, is_pqc, ((variant, level), ...)), in fixed presentation order;
+# (family, ((variant, level), ...)), in fixed presentation order;
 # within a family the variants are listed by ascending level
-_TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
-    ("ECDSA", False, (("P-256", 1), ("P-384", 3), ("P-521", 5))),
-    ("ML-DSA", True, (("ML-DSA-44", 2), ("ML-DSA-65", 3), ("ML-DSA-87", 5))),
-    ("Dilithium", True, (("Dilithium2", 2), ("Dilithium3", 3), ("Dilithium5", 5))),
-    ("Falcon", True, (("Falcon-512", 1), ("Falcon-1024", 5))),
+_TABLE: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = (
+    ("ECDSA", (("P-256", 1), ("P-384", 3), ("P-521", 5))),
+    ("ML-DSA", (("ML-DSA-44", 2), ("ML-DSA-65", 3), ("ML-DSA-87", 5))),
+    ("Dilithium", (("Dilithium2", 2), ("Dilithium3", 3), ("Dilithium5", 5))),
+    ("Falcon", (("Falcon-512", 1), ("Falcon-1024", 5))),
     (
         "Falcon-padded",
-        True,
         (("Falcon-padded-512", 1), ("Falcon-padded-1024", 5)),
     ),
-    ("Mayo", True, (("MAYO-2", 1), ("MAYO-3", 3), ("MAYO-5", 5))),
+    ("Mayo", (("MAYO-2", 1), ("MAYO-3", 3), ("MAYO-5", 5))),
     (
         "SPHINCS+-SHA-s",
-        True,
         (("SHA2-128s-simple", 1), ("SHA2-192s-simple", 3), ("SHA2-256s-simple", 5)),
     ),
     (
         "SPHINCS+-SHA-f",
-        True,
         (("SHA2-128f-simple", 1), ("SHA2-192f-simple", 3), ("SHA2-256f-simple", 5)),
     ),
     (
         "SPHINCS+-SHAKE-s",
-        True,
         (
             ("SHAKE-128s-simple", 1),
             ("SHAKE-192s-simple", 3),
@@ -44,7 +42,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "SPHINCS+-SHAKE-f",
-        True,
         (
             ("SHAKE-128f-simple", 1),
             ("SHAKE-192f-simple", 3),
@@ -53,7 +50,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdp-small",
-        True,
         (
             ("Cross-rsdp-128-small", 1),
             ("Cross-rsdp-192-small", 3),
@@ -62,7 +58,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdpg-small",
-        True,
         (
             ("Cross-rsdpg-128-small", 1),
             ("Cross-rsdpg-192-small", 3),
@@ -71,7 +66,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdp-balanced",
-        True,
         (
             ("Cross-rsdp-128-balanced", 1),
             ("Cross-rsdp-192-balanced", 3),
@@ -80,7 +74,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdpg-balanced",
-        True,
         (
             ("Cross-rsdpg-128-balanced", 1),
             ("Cross-rsdpg-192-balanced", 3),
@@ -89,7 +82,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdp-fast",
-        True,
         (
             ("Cross-rsdp-128-fast", 1),
             ("Cross-rsdp-192-fast", 3),
@@ -98,7 +90,6 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
     (
         "Cross-rsdpg-fast",
-        True,
         (
             ("Cross-rsdpg-128-fast", 1),
             ("Cross-rsdpg-192-fast", 3),
@@ -107,7 +98,7 @@ _TABLE: tuple[tuple[str, bool, tuple[tuple[str, int], ...]], ...] = (
     ),
 )
 
-FAMILY_ORDER: tuple[str, ...] = tuple(family for family, _, _ in _TABLE)
+FAMILY_ORDER: tuple[str, ...] = tuple(family for family, _ in _TABLE)
 
 VALID_LEVELS = frozenset({1, 2, 3, 4, 5})
 
@@ -118,14 +109,17 @@ class VariantDescriptor(NamedTuple):
     family: str
     variant: str
     level: int
-    is_pqc: bool
+
+    @property
+    def is_pqc(self) -> bool:
+        return self.family != "ECDSA"
 
 
 def catalog() -> list[VariantDescriptor]:
     """All 46 variants in fixed order: family order, then ascending level."""
     return [
-        VariantDescriptor(family=family, variant=variant, level=level, is_pqc=is_pqc)
-        for family, is_pqc, cells in _TABLE
+        VariantDescriptor(family=family, variant=variant, level=level)
+        for family, cells in _TABLE
         for variant, level in cells
     ]
 

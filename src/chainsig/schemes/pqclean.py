@@ -1,9 +1,10 @@
 """Post-quantum backend over the `pqcrypto` wheels (PQClean reference code).
 
-Serves the lattice and hash based families. Mayo and Cross have no
-PQClean packaging, so this provider does not claim them. Nor does it
-claim round-3 Dilithium: the package ships only FIPS 204 ML-DSA, a
-different scheme, and a Dilithium row must not carry ML-DSA numbers.
+Claims a variant by its family: ML-DSA, Falcon, Falcon-padded and the
+four SPHINCS+ families. Mayo and Cross have no PQClean packaging, so
+this provider does not claim them. Nor does it claim round-3 Dilithium:
+the package ships only FIPS 204 ML-DSA, a different scheme, and a
+Dilithium row must not carry ML-DSA numbers.
 """
 
 from __future__ import annotations
@@ -18,27 +19,9 @@ from .base import SchemeBackend
 if TYPE_CHECKING:
     from .catalog import VariantDescriptor
 
-_MODULES = {
-    "ML-DSA-44": "ml_dsa_44",
-    "ML-DSA-65": "ml_dsa_65",
-    "ML-DSA-87": "ml_dsa_87",
-    "Falcon-512": "falcon_512",
-    "Falcon-1024": "falcon_1024",
-    "Falcon-padded-512": "falcon_padded_512",
-    "Falcon-padded-1024": "falcon_padded_1024",
-    "SHA2-128s-simple": "sphincs_sha2_128s_simple",
-    "SHA2-128f-simple": "sphincs_sha2_128f_simple",
-    "SHA2-192s-simple": "sphincs_sha2_192s_simple",
-    "SHA2-192f-simple": "sphincs_sha2_192f_simple",
-    "SHA2-256s-simple": "sphincs_sha2_256s_simple",
-    "SHA2-256f-simple": "sphincs_sha2_256f_simple",
-    "SHAKE-128s-simple": "sphincs_shake_128s_simple",
-    "SHAKE-128f-simple": "sphincs_shake_128f_simple",
-    "SHAKE-192s-simple": "sphincs_shake_192s_simple",
-    "SHAKE-192f-simple": "sphincs_shake_192f_simple",
-    "SHAKE-256s-simple": "sphincs_shake_256s_simple",
-    "SHAKE-256f-simple": "sphincs_shake_256f_simple",
-}
+# a variant's module is its name in lower case with "-" as "_", behind
+# "sphincs_" for the SPHINCS+ families, which this tuple leaves out
+_FAMILIES = ("ML-DSA", "Falcon", "Falcon-padded")
 
 
 class PqcleanBackend(SchemeBackend):
@@ -80,9 +63,10 @@ def available() -> bool:
 
 
 def create(descriptor: "VariantDescriptor") -> SchemeBackend:
-    module_name = _MODULES.get(descriptor.variant)
-    if module_name is None:
+    sphincs = descriptor.family.startswith("SPHINCS+")
+    if not sphincs and descriptor.family not in _FAMILIES:
         raise UnsupportedVariant(f"no implementation of {descriptor.variant!r}")
+    module_name = ("sphincs_" if sphincs else "") + descriptor.variant.lower().replace("-", "_")
     try:
         module = importlib.import_module(f"pqcrypto.sign.{module_name}")
     except ImportError as exc:

@@ -34,7 +34,9 @@ _PQC_CANDIDATES = ("oqs", "pqclean")
 def get_provider(name: str) -> ModuleType:
     """Return the provider module registered under name; sys.modules keeps it."""
     if name not in _PROVIDERS:
-        raise UnsupportedVariant(f"no provider registered under {name!r}")
+        raise UnsupportedVariant(
+            f"no provider registered under {name!r}; registered: {', '.join(_PROVIDERS)}"
+        )
     return importlib.import_module(f".{name}", __package__)
 
 

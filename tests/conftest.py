@@ -96,13 +96,11 @@ def make_stub_descriptor(
     variant: str = "Stub-A",
     family: str = "Stub",
     level: int = 1,
-    is_pqc: bool = False,
 ) -> VariantDescriptor:
     return VariantDescriptor(
         family=family,
         variant=variant,
         level=level,
-        is_pqc=is_pqc,
     )
 
 

@@ -45,11 +45,6 @@ def test_variant_names_unique():
     assert len(names) == len(set(names))
 
 
-def test_pqc_flag_only_false_for_ecdsa():
-    for descriptor in catalog():
-        assert descriptor.is_pqc == (descriptor.family != "ECDSA")
-
-
 def test_levels_are_valid():
     for descriptor in catalog():
         assert descriptor.level in VALID_LEVELS

@@ -499,16 +499,17 @@ class TestRunPipeline:
         )
 
     @pytest.mark.parametrize(
-        "levels,families,count",
+        "levels,families,count,warning",
         [
-            ({1, 5}, None, 30),
-            ({2}, None, 2),
-            ({1, 2, 3, 4, 5}, None, 46),
-            ({3, 5}, ("Falcon", "ECDSA"), 3),
-            ({1, 2, 3, 5}, ("Mayo", "Dilithium"), 6),
-            ({2}, ("ECDSA",), 0),
-            ({4}, None, 0),
-            (set(), None, 0),
+            ({1, 5}, None, 30, None),
+            ({2}, None, 2, None),
+            ({1, 2, 3, 4, 5}, None, 46, None),
+            ({3, 5}, ("Falcon", "ECDSA"), 3, None),
+            ({1, 2, 3, 5}, ("Mayo", "Dilithium"), 6, None),
+            # level 2 holds ML-DSA-44 and Dilithium2, but no ECDSA variant
+            ({2}, ("ECDSA",), 0, "no variants at the selected levels in the selected families"),
+            ({4}, None, 0, "no variants at the selected levels"),
+            (set(), None, 0, "no variants at the selected levels"),
         ],
         ids=[
             "levels-1-5", "level-2", "all-levels", "falcon-ecdsa-levels-3-5",
@@ -516,7 +517,7 @@ class TestRunPipeline:
         ],
     )
     def test_selection_is_levels_by_families_in_catalog_order(
-        self, tmp_path, stub_provider, monkeypatch, levels, families, count
+        self, tmp_path, stub_provider, monkeypatch, caplog, levels, families, count, warning
     ):
         tried = []
         real_instantiate = cli.instantiate
@@ -531,7 +532,9 @@ class TestRunPipeline:
             skip_simulation=True,
         )
         # an empty selection is a partial success
-        assert run_pipeline(config) == (0 if count else 2)
+        with caplog.at_level(logging.WARNING, logger="chainsig.cli"):
+            assert run_pipeline(config) == (0 if count else 2)
+        assert caplog.messages == ([warning] if warning else [])
         assert tried == [
             d.variant for d in catalog()
             if d.level in levels and (families is None or d.family in families)
@@ -798,6 +801,26 @@ class TestMain:
         }
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["skipped"] == [{"variant": "P-521", "reason": reason}]
+
+    def test_unknown_provider_is_refused_before_anything_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_probe():
+            raise AssertionError("probed the host")
+
+        monkeypatch.setattr(cli, "probe_environment", no_probe)
+        monkeypatch.setenv("CHAINSIG_PROVIDER", "Stub")
+        out = tmp_path / "out"
+        assert main(["--skip-simulation", "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "chainsig: fatal: CHAINSIG_PROVIDER=Stub: no provider registered under 'Stub';"
+            " registered: ecdsa, oqs, pqclean, stub"
+        ]
+        assert not out.exists()
+        # a replay measures nothing, so the variable plays no part in it
+        replay = write_replay(tmp_path / "replay.csv", [("ECDSA", "P-256", 1)])
+        argv = ["--replay-benchmarks", str(replay), "--levels", "1", "--families", "ECDSA"]
+        assert main([*argv, "--output-dir", str(out)]) == 0
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["--runs", "0"]) == 1

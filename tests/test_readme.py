@@ -44,3 +44,16 @@ def test_flag_table_is_the_parser():
     ]
     assert sorted(listed) == sorted(parsed)
     assert len(listed) == len(set(listed))
+
+
+def test_every_environment_variable_is_documented():
+    # a CHAINSIG_* variable the code reads is named in README
+    text = README.read_text(encoding="utf-8")
+    source = README.parent / "src" / "chainsig"
+    names = {
+        name
+        for path in source.rglob("*.py")
+        for name in re.findall(r"CHAINSIG_[A-Z_]+", path.read_text(encoding="utf-8"))
+    }
+    assert names == {"CHAINSIG_PROVIDER", "CHAINSIG_LIBOQS", "CHAINSIG_LIBOQS_CROSS"}
+    assert [name for name in sorted(names) if f"`{name}`" not in text] == []

@@ -50,6 +50,29 @@ SMOKE_VARIANTS = (
 
 MESSAGE_SHAPES = (b"", b"\x00", b"hello world", os.urandom(1024))
 
+#: the pqcrypto.sign module of each variant the PQClean wheels serve
+PQCLEAN_MODULES = {
+    "ML-DSA-44": "ml_dsa_44",
+    "ML-DSA-65": "ml_dsa_65",
+    "ML-DSA-87": "ml_dsa_87",
+    "Falcon-512": "falcon_512",
+    "Falcon-1024": "falcon_1024",
+    "Falcon-padded-512": "falcon_padded_512",
+    "Falcon-padded-1024": "falcon_padded_1024",
+    "SHA2-128s-simple": "sphincs_sha2_128s_simple",
+    "SHA2-128f-simple": "sphincs_sha2_128f_simple",
+    "SHA2-192s-simple": "sphincs_sha2_192s_simple",
+    "SHA2-192f-simple": "sphincs_sha2_192f_simple",
+    "SHA2-256s-simple": "sphincs_sha2_256s_simple",
+    "SHA2-256f-simple": "sphincs_sha2_256f_simple",
+    "SHAKE-128s-simple": "sphincs_shake_128s_simple",
+    "SHAKE-128f-simple": "sphincs_shake_128f_simple",
+    "SHAKE-192s-simple": "sphincs_shake_192s_simple",
+    "SHAKE-192f-simple": "sphincs_shake_192f_simple",
+    "SHAKE-256s-simple": "sphincs_shake_256s_simple",
+    "SHAKE-256f-simple": "sphincs_shake_256f_simple",
+}
+
 
 class TestStubBackend:
     def test_roundtrip(self):
@@ -237,10 +260,9 @@ class TestRegistry:
             instantiate(by_variant()["P-256"])
 
     def test_instantiate_unsupported_variant(self, monkeypatch):
-        mystery = VariantDescriptor(
-            family="Mystery", variant="Mystery-1", level=1, is_pqc=True
-        )
-        # is_pqc routes it to the post-quantum candidates, which both refuse
+        mystery = VariantDescriptor(family="Mystery", variant="Mystery-1", level=1)
+        # a family other than ECDSA routes it to the post-quantum
+        # candidates, which both refuse
         with pytest.raises(UnsupportedVariant, match="^oqs: .+; pqclean: .+"):
             instantiate(mystery)
         monkeypatch.setenv("CHAINSIG_PROVIDER", "ecdsa")
@@ -601,3 +623,28 @@ class TestPqcleanFallback:
         with pytest.raises(UnsupportedVariant, match="^no implementation of 'Dilithium2'$"):
             pqclean.create(by_variant()["Dilithium2"])
 
+    def test_module_names_known_answer(self, monkeypatch):
+        # the module each catalog variant asks for, with the import faked,
+        # against the names the pqcrypto wheels ship
+        asked = []
+        monkeypatch.setattr(pqclean, "importlib", SimpleNamespace(import_module=asked.append))
+        served, refused = {}, {}
+        for descriptor in catalog():
+            try:
+                pqclean.create(descriptor)
+            except UnsupportedVariant as exc:
+                refused[descriptor.variant] = str(exc)
+            else:
+                served[descriptor.variant] = asked.pop()
+        assert asked == []
+        assert served == {
+            variant: f"pqcrypto.sign.{module}" for variant, module in PQCLEAN_MODULES.items()
+        }
+        assert refused == {
+            d.variant: f"no implementation of {d.variant!r}"
+            for d in catalog()
+            if d.variant not in PQCLEAN_MODULES
+        }
+        assert {by_variant()[variant].family.split("-")[0] for variant in refused} == {
+            "ECDSA", "Dilithium", "Mayo", "Cross"
+        }
