@@ -74,7 +74,8 @@ class EnvironmentInfo(NamedTuple):
 
 
 class BenchmarkRecord(NamedTuple):
-    descriptor: object
+    """One variant's statistics, an operation each."""
+
     keypair_stat: StatSummary
     sign_stat: StatSummary
     verify_stat: StatSummary
@@ -248,7 +249,6 @@ def benchmark_variant(
         verify_samples = time_operation(checked_verify, plan, itertools.cycle(pool))
 
     return BenchmarkRecord(
-        descriptor=instance.descriptor,
         keypair_stat=summarize(keypair_samples),
         sign_stat=summarize(sign_samples),
         verify_stat=summarize(verify_samples),
@@ -261,6 +261,8 @@ def _cpu_model() -> str:
             for line in handle:
                 if line.startswith("model name"):
                     return line.split(":", 1)[1].strip()
+        # as on arm64 Linux: platform would run `uname -p` to end at the same name
+        return os.uname().machine
     except OSError:
         pass
     import platform  # reached only from probe_environment, like _os_descriptor's

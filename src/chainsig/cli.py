@@ -19,14 +19,7 @@ from pathlib import Path
 from time import gmtime, strftime
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .bench import (
-    BenchmarkRecord,
-    EnvironmentInfo,
-    RunPlan,
-    StatSummary,
-    benchmark_variant,
-    probe_environment,
-)
+from .bench import EnvironmentInfo, RunPlan, StatSummary, benchmark_variant, probe_environment
 from .errors import (
     BackendFailure,
     ChainsigError,
@@ -37,7 +30,7 @@ from .errors import (
 )
 from .report import (
     LevelGroup, Operation, ReportDataset, ReportRow, Stage, level_group, parse_csv,
-    render_bar_chart, synthesize, write_csv,
+    render_bar_chart, write_csv,
 )
 from .schemes import (
     FAMILY_ORDER, PROVIDER_ENV, VALID_LEVELS, VariantDescriptor, by_variant, catalog,
@@ -264,14 +257,15 @@ def _load_replay(path: Path) -> tuple[tuple[ReportRow, ...], dict, dict[str, str
     """A replay CSV's rows, the `replayed_from` entry that names them, and its settings.
 
     The settings are the `# name=value` lines above the header. The file
-    is read once and decoded as Path.read_text decodes it, so the
-    sha256 is that of the bytes parsed. A file that does not parse, holds
-    simulation rows, rows from more than one machine or rows whose labels
-    are not the catalog's is refused with one IoFailure line naming it.
+    is read once and decoded as parse_csv decodes a path, a leading
+    byte-order mark dropped, so the sha256 is that of the bytes parsed. A
+    file that does not parse, holds simulation rows, rows from more than
+    one machine or rows whose labels are not the catalog's is refused
+    with one IoFailure line naming it.
     """
     try:
         data = path.read_bytes()
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
@@ -323,26 +317,34 @@ def _replayed(
 
 
 def _measure(
-    selected: list[VariantDescriptor], plan: RunPlan
-) -> tuple[list[BenchmarkRecord], list[dict[str, str]], dict[str, float]]:
-    """Measure each selected variant: the records, skip entries and seconds per tried variant."""
-    records: list[BenchmarkRecord] = []
+    selected: list[VariantDescriptor], plan: RunPlan, machine: str
+) -> tuple[ReportDataset, list[dict[str, str]], dict[str, float]]:
+    """Measure each selected variant: its rows labelled machine, skip entries and seconds.
+
+    A measured variant gets a benchmark row per operation; every variant
+    tried, skipped or not, gets its seconds.
+    """
+    rows: list[ReportRow] = []
     skipped: list[dict[str, str]] = []
     seconds: dict[str, float] = {}
     for done, descriptor in enumerate(selected, start=1):
-        variant = descriptor.variant
+        family, variant, level = descriptor
         with _stage(seconds, variant):
             try:
-                records.append(benchmark_variant(instantiate(descriptor), plan))
+                record = benchmark_variant(instantiate(descriptor), plan)
             except (UnsupportedVariant, BackendFailure, CorrectnessViolation) as exc:
                 _skip(skipped, variant, str(exc))
                 continue
+        for operation in Operation:
+            stat = getattr(record, f"{operation.value}_stat")
+            rows.append(ReportRow(machine, family, variant, level, Stage.BENCHMARK, None,
+                                  operation, stat.mean_ms, stat.std_ms, stat.n))
         logger.info(
             "%s measured in %.2f s (%d/%d, ETA %.1f s)",
             variant, seconds[variant], done, len(selected),
             sum(seconds.values()) / done * (len(selected) - done),
         )
-    return records, skipped, seconds
+    return ReportDataset(tuple(rows)), skipped, seconds
 
 
 def _simulate(
@@ -443,9 +445,11 @@ def run_pipeline(config: CliConfig) -> int:
             )
         plan = RunPlan(warmup=config.warmup, runs=config.runs, message_len=config.message_len)
         with _stage(timings, "benchmark") as line:
-            records, skipped, variant_seconds = _measure(selected, plan)
-            line.append(f"benchmark: {len(records)} of {len(selected)} variants measured")
-        bench_dataset = synthesize(records, machine=environment.cpu_model)
+            bench_dataset, skipped, variant_seconds = _measure(
+                selected, plan, environment.cpu_model
+            )
+            measured = len(selected) - len(skipped)
+            line.append(f"benchmark: {measured} of {len(selected)} variants measured")
 
     comments = _config_comments(config, source)
     with _stage(timings, "benchmark_report") as line:

@@ -13,9 +13,8 @@ import enum
 import io
 import math
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple
 
-from .bench import BenchmarkRecord
 from .errors import DuplicateRow, EmptySelection, IoFailure
 from .records import Validated
 from .schemes import FAMILY_ORDER
@@ -152,37 +151,6 @@ class ReportDataset(Validated, _ReportDataset):
         return ReportDataset(tuple(row for row in self.rows if row.model is model))
 
 
-def synthesize(records: Sequence[BenchmarkRecord], machine: str) -> ReportDataset:
-    """The benchmark rows of records: keypair, sign and verify per record.
-
-    Every row is labelled with machine, the host that measured the
-    benchmark.
-    """
-    rows = []
-    for record in records:
-        descriptor = record.descriptor
-        for operation, stat in (
-            (Operation.KEYPAIR, record.keypair_stat),
-            (Operation.SIGN, record.sign_stat),
-            (Operation.VERIFY, record.verify_stat),
-        ):
-            rows.append(
-                ReportRow(
-                    machine=machine,
-                    family=descriptor.family,
-                    variant=descriptor.variant,
-                    level=descriptor.level,
-                    stage=Stage.BENCHMARK,
-                    model=None,
-                    operation=operation,
-                    mean_ms=stat.mean_ms,
-                    std_ms=stat.std_ms,
-                    n=stat.n,
-                )
-            )
-    return ReportDataset(tuple(rows))
-
-
 def _write_text(destination: str | Path | IO[str], text: str) -> int:
     data = text.encode("utf-8")
     try:
@@ -248,12 +216,13 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
 
     Leading "#" comment lines are skipped; the header must follow them
     exactly. Quoted fields may contain any character, newlines included.
+    A path is read as UTF-8, a leading byte-order mark dropped.
     """
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
     lines = text.split("\n")

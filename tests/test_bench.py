@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import itertools
 import math
 import statistics
@@ -377,6 +378,16 @@ class TestTimerResolution:
         assert clock.reads == 1000 + 1
 
 
+#: /proc/cpuinfo of a two-core arm64 Linux host: no line names the model
+_ARM64_CPUINFO = "".join(
+    f"processor\t: {core}\nBogoMIPS\t: 243.75\n"
+    "Features\t: fp asimd evtstrm aes pmull sha1 sha2 crc32 atomics fphp asimdhp cpuid\n"
+    "CPU implementer\t: 0x41\nCPU architecture: 8\nCPU variant\t: 0x3\n"
+    "CPU part\t: 0xd0c\nCPU revision\t: 1\n\n"
+    for core in range(2)
+)
+
+
 class TestProbeEnvironment:
     def test_fields_populated(self):
         env = probe_environment()
@@ -407,6 +418,28 @@ class TestProbeEnvironment:
         monkeypatch.delitem(sys.modules, "platform")
         assert probe_environment().os_descriptor == expected
 
+    @pytest.mark.skipif(not has_glibc(), reason="the probe starts no process on glibc hosts only")
+    def test_cpu_model_without_a_model_name_line_is_the_machine(self, monkeypatch):
+        import builtins
+        import os
+        import subprocess
+
+        from chainsig import bench
+
+        def fake_open(path, *args, **kwargs):
+            if path == "/proc/cpuinfo":
+                return io.StringIO(_ARM64_CPUINFO)
+            return builtins.open(path, *args, **kwargs)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the probe started a process")
+
+        monkeypatch.setattr(bench, "open", fake_open, raising=False)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.delitem(sys.modules, "platform", raising=False)
+        assert probe_environment().cpu_model == os.uname().machine
+        assert "platform" not in sys.modules
+
     def test_os_descriptor_without_uname_is_platform_text(self, monkeypatch):
         # as on Windows, whose os module has no uname
         import os
@@ -422,7 +455,7 @@ class TestBenchmarkVariant:
         plan = RunPlan(warmup=2, runs=30)
         record = benchmark_variant(instance, plan)
         assert isinstance(record, BenchmarkRecord)
-        assert record.descriptor is instance.descriptor
+        assert record._fields == ("keypair_stat", "sign_stat", "verify_stat")
         for stat in (record.keypair_stat, record.sign_stat, record.verify_stat):
             assert stat.n == 30
 

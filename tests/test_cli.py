@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import datetime
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from chainsig import cli
+from chainsig.bench import EnvironmentInfo, StatSummary
 from chainsig.cli import (
     DEFAULT_LEVELS,
     CliConfig,
@@ -22,7 +24,7 @@ from chainsig.cli import (
     parse_args,
     run_pipeline,
 )
-from chainsig.errors import UsageError
+from chainsig.errors import UnsupportedVariant, UsageError
 from chainsig.report import (
     CSV_HEADER,
     Operation,
@@ -32,7 +34,7 @@ from chainsig.report import (
     parse_csv,
     write_csv,
 )
-from chainsig.schemes import catalog
+from chainsig.schemes import by_variant, catalog
 from chainsig.schemes.base import SchemeInstance
 from chainsig.schemes.stub import StubBackend
 from chainsig.sim import ChainModel
@@ -686,6 +688,34 @@ class TestRunPipeline:
         assert outputs[0] == outputs[1]
         assert "simulation.csv" in outputs[0]
 
+    def test_replay_of_a_csv_with_a_byte_order_mark(self, tmp_path, stub_provider):
+        # spreadsheet tools save a CSV with a UTF-8 byte-order mark ahead of line 1
+        source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
+        assert run_pipeline(source) == 0
+        plain = source.output_dir / "benchmark.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_csv(marked) == parse_csv(plain)
+        outputs = []
+        for path in (plain, marked):
+            out = tmp_path / f"from_{path.stem}"
+            argv = ["--replay-benchmarks", str(path), "--levels", "2", "--runs-simulator", "4",
+                    "--seed", "7", "--output-dir", str(out)]
+            assert main(argv) == 0
+            outputs.append(
+                {
+                    written.name: written.read_bytes()
+                    for written in sorted(out.iterdir())
+                    if written.suffix in {".csv", ".svg"}
+                }
+            )
+        assert outputs[0] == outputs[1]
+        assert "simulation.csv" in outputs[0]
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        # the digest names the bytes on disk, mark included
+        digest = hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert manifest["replayed_from"]["sha256"] == digest
+
     def test_full_catalog_replay_matches_golden_digests(self, tmp_path):
         out = tmp_path / "out"
         argv = ["--replay-benchmarks", str(_GOLDEN_REPLAY_CSV), "--runs-simulator", "50",
@@ -724,6 +754,56 @@ class TestRunPipeline:
                     Stage.SIMULATION, model, Operation.VERIFY
                 )
                 assert row.n == config.runs_simulator
+
+    def test_each_measured_variant_gets_its_three_rows(self, tmp_path, stub_provider, monkeypatch):
+        # each operation of each variant gets a statistic of its own, so a
+        # row that carries another operation's or another variant's shows
+        host = EnvironmentInfo("fake host", 1 << 30, "os", 20.0)
+        monkeypatch.setattr(cli, "probe_environment", lambda: host)
+        measure = cli.benchmark_variant
+        measured = {}
+
+        def benchmark_variant(instance, plan):
+            variant = instance.descriptor.variant
+            if variant == "Dilithium2":
+                raise UnsupportedVariant(f"{variant}: refused")
+            stats = {
+                f"{operation.value}_stat": StatSummary(
+                    mean_ms=len(measured) + index / 10 + 0.00006,
+                    std_ms=len(measured) / 100 + index / 1000 + 0.00004,
+                    n=10 * len(measured) + index,
+                )
+                for index, operation in enumerate(Operation, start=1)
+            }
+            measured[variant] = stats
+            return measure(instance, plan)._replace(**stats)
+
+        monkeypatch.setattr(cli, "benchmark_variant", benchmark_variant)
+        config = tiny_config(
+            tmp_path,
+            levels=frozenset({1, 2}),
+            families=("ECDSA", "ML-DSA", "Dilithium"),
+            skip_simulation=True,
+        )
+        assert run_pipeline(config) == 2
+        with open(config.output_dir / "benchmark.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        assert sorted(measured) == ["ML-DSA-44", "P-256"]
+        # the skipped Dilithium2 has no rows
+        assert {row["variant"] for row in rows} == set(measured)
+        known = by_variant()
+        for variant, stats in measured.items():
+            own = [row for row in rows if row["variant"] == variant]
+            assert sorted(row["operation"] for row in own) == sorted(op.value for op in Operation)
+            for row in own:
+                stat = stats[f"{row['operation']}_stat"]
+                labels = (row["machine"], row["family"], row["level"], row["stage"], row["model"])
+                assert labels == (
+                    "fake host", known[variant].family, str(known[variant].level), "Benchmark", ""
+                )
+                assert (row["mean_ms"], row["std_ms"], row["n"]) == (
+                    f"{stat.mean_ms:.4f}", f"{stat.std_ms:.4f}", str(stat.n)
+                )
 
     def test_replay_missing_variant_exit_2(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,6 +19,22 @@ def test_library_use_block_runs(monkeypatch, capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     printed = capsys.readouterr().out
     assert "StatSummary(" in printed and "n=1000" in printed
+
+
+def test_library_use_snippet_runs(tmp_path):
+    # in a fresh interpreter, so nothing the test session loaded or set helps it
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None, "no python block under 'Library use'"
+    env = {**os.environ, "CHAINSIG_PROVIDER": "stub", "PYTHONPATH": str(README.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", block.group(1)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    assert len(printed) == 2
+    assert all(line.startswith("StatSummary(") for line in printed)
 
 
 def test_provider_list_is_the_registry():

@@ -19,7 +19,7 @@ RECORDS = [
     STAT,
     RunPlan(),
     EnvironmentInfo("cpu", 1 << 30, "Linux", 20.0),
-    BenchmarkRecord(by_variant()["P-256"], STAT, STAT, STAT),
+    BenchmarkRecord(STAT, STAT, STAT),
     CliConfig(),
     SimulationConfig(ChainModel.BITCOIN),
     by_variant()["P-256"],

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainsig.bench import BenchmarkRecord, StatSummary
 from chainsig.errors import DuplicateRow, EmptySelection, IoFailure
 from chainsig.report import (
     CSV_HEADER,
@@ -25,12 +24,9 @@ from chainsig.report import (
     level_group,
     parse_csv,
     render_bar_chart,
-    synthesize,
     write_csv,
 )
 from chainsig.sim import ChainModel
-from chainsig.schemes import by_variant
-from conftest import make_stub_descriptor
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,21 +76,6 @@ def sim_row(
         mean_ms=mean,
         std_ms=std,
         n=n,
-    )
-
-
-def make_record(variant="P-256", stats=None):
-    descriptor = by_variant()[variant]
-    keypair, sign, verify = stats or (
-        StatSummary(0.0312, 0.0041, 10000),
-        StatSummary(0.0441, 0.0019, 10000),
-        StatSummary(0.0788, 0.0029, 10000),
-    )
-    return BenchmarkRecord(
-        descriptor=descriptor,
-        keypair_stat=keypair,
-        sign_stat=sign,
-        verify_stat=verify,
     )
 
 
@@ -200,42 +181,6 @@ class TestDataset:
         assert [row.stage for row in bitcoin.rows] == [Stage.SIMULATION]
         ethereum = dataset.filter(model=ChainModel.ETHEREUM)
         assert [row.model for row in ethereum.rows] == [ChainModel.ETHEREUM]
-
-
-class TestSynthesize:
-    def test_one_record_yields_three_rows(self):
-        dataset = synthesize([make_record()], machine="test-cpu")
-        assert len(dataset.rows) == 3
-        operations = [row.operation for row in dataset.rows]
-        assert operations == [Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY]
-        assert {row.machine for row in dataset.rows} == {"test-cpu"}
-        assert {row.stage for row in dataset.rows} == {Stage.BENCHMARK}
-        verify = dataset.rows[2]
-        assert verify.mean_ms == 0.0788
-        assert verify.n == 10000
-        assert verify.family == "ECDSA"
-        assert verify.level == 1
-
-    def test_machine_override(self):
-        # the row label is the named host, whichever records it is given
-        records = [make_record("P-256"), make_record("ML-DSA-87")]
-        dataset = synthesize(records, machine="named-host")
-        assert {row.machine for row in dataset.rows} == {"named-host"}
-
-    def test_full_shape(self):
-        records = [make_record("P-256"), make_record("ML-DSA-87")]
-        dataset = synthesize(records, machine="test-cpu")
-        assert len(dataset.rows) == 2 * 3
-        assert {(row.variant, row.level, row.operation) for row in dataset.rows} == {
-            (variant, level, operation)
-            for variant, level in (("P-256", 1), ("ML-DSA-87", 5))
-            for operation in Operation
-        }
-
-    def test_duplicate_records_rejected(self):
-        record = make_record()
-        with pytest.raises(DuplicateRow):
-            synthesize([record, record], machine="test-cpu")
 
 
 class TestWriteCsv:
