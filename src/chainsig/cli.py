@@ -329,21 +329,17 @@ def _measure(
     seconds: dict[str, float] = {}
     for done, descriptor in enumerate(selected, start=1):
         family, variant, level = descriptor
-        with _stage(seconds, variant):
+        with _stage(seconds, variant) as line:
             try:
                 record = benchmark_variant(instantiate(descriptor), plan)
             except (UnsupportedVariant, BackendFailure, CorrectnessViolation) as exc:
                 _skip(skipped, variant, str(exc))
                 continue
+            line.append(f"{variant} ({done}/{len(selected)}) measured")
         for operation in Operation:
             stat = getattr(record, f"{operation.value}_stat")
             rows.append(ReportRow(machine, family, variant, level, Stage.BENCHMARK, None,
                                   operation, stat.mean_ms, stat.std_ms, stat.n))
-        logger.info(
-            "%s measured in %.2f s (%d/%d, ETA %.1f s)",
-            variant, seconds[variant], done, len(selected),
-            sum(seconds.values()) / done * (len(selected) - done),
-        )
     return ReportDataset(tuple(rows)), skipped, seconds
 
 
@@ -375,24 +371,23 @@ def _write_report(
 ) -> list[str]:
     """Write dataset to <name>.csv, then its charts; the file names written, in order.
 
-    Benchmark rows get a chart of all three operations, and simulation rows
-    a verify chart per chain model, for each level group the rows reach.
+    Benchmark rows, and the simulation rows of each chain model, get a chart
+    for each level group they reach.
     """
     csv_path = output_dir / f"{name}.csv"
     write_csv(dataset, csv_path, comments=comments)
     written = [csv_path.name]
-    charts = [(None, tuple(Operation), "Signature operation latency", "benchmark")] + [
-        (model, (Operation.VERIFY,), f"{model.label} mean block verification time",
-         f"simulation_{model.label.lower()}")
+    charts = [(None, "Signature operation latency", "benchmark")] + [
+        (model, f"{model.label} mean block verification time", f"simulation_{model.label.lower()}")
         for model in ChainModel
     ]
-    for model, series, title, prefix in charts:
-        rows = dataset.filter(model=model)
-        groups = {level_group(row.level) for row in rows.rows}
+    for model, title, prefix in charts:
         for group in LevelGroup:
-            if group in groups:
+            rows = tuple(row for row in dataset.rows
+                         if row.model is model and level_group(row.level) is group)
+            if rows:
                 chart = f"{prefix}_{group.name.lower()}.svg"
-                render_bar_chart(rows, f"{title}, {group.value}", group, series, output_dir / chart)
+                render_bar_chart(ReportDataset(rows), f"{title}, {group.value}", output_dir / chart)
                 written.append(chart)
     return written
 

@@ -147,9 +147,6 @@ class ReportDataset(Validated, _ReportDataset):
                 raise DuplicateRow(f"duplicate result row for {key}")
             seen.add(row.key)
 
-    def filter(self, model: ChainModel | None) -> "ReportDataset":
-        return ReportDataset(tuple(row for row in self.rows if row.model is model))
-
 
 def _write_text(destination: str | Path | IO[str], text: str) -> int:
     data = text.encode("utf-8")
@@ -216,16 +213,16 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
 
     Leading "#" comment lines are skipped; the header must follow them
     exactly. Quoted fields may contain any character, newlines included.
-    A path is read as UTF-8, a leading byte-order mark dropped.
+    A path is read as UTF-8; a leading byte-order mark is dropped from any source.
     """
     try:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            text = Path(source).read_text(encoding="utf-8-sig")
+            text = Path(source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
-    lines = text.split("\n")
+    lines = text.removeprefix("\ufeff").split("\n")
     index = 0
     while index < len(lines) and lines[index].startswith("#"):
         index += 1
@@ -295,29 +292,18 @@ def _attr(value: str) -> str:
     return _escape(value).replace('"', "&quot;")
 
 
-def render_bar_chart(
-    dataset: ReportDataset,
-    title: str,
-    group: LevelGroup,
-    series: tuple[Operation, ...],
-    destination: str | Path | IO[str],
-) -> int:
-    """Bar chart of one level group: a cluster per variant, a bar per operation.
+def render_bar_chart(dataset: ReportDataset, title: str, destination: str | Path | IO[str]) -> int:
+    """Bar chart of every row: a cluster per variant, a bar per operation the rows hold.
 
     Error bars span mean +/- std. The value axis is logarithmic when at
     least two of the drawn means are positive and the largest of those is
     more than 100 times the smallest; otherwise it is linear from zero.
     Returns the byte count written.
     """
-    rows = [
-        row
-        for row in dataset.rows
-        if level_group(row.level) is group and row.operation in series
-    ]
+    rows = dataset.rows
     if not rows:
-        raise EmptySelection(
-            f"no rows in {group.value!r} for series {[op.value for op in series]}"
-        )
+        raise EmptySelection("no rows to chart")
+    series = [op for op in Operation if any(row.operation is op for row in rows)]
     values: dict[tuple[str, Operation], ReportRow] = {}
     for row in rows:
         cell = (row.variant, row.operation)

@@ -255,7 +255,7 @@ _GOLDEN_REPLAY_DIGESTS = {
 _TIMED_LINES = (
     (r"replay: \d+ rows read from .+ in (?P<seconds>\d+\.\d\d) s", "replay"),
     (r"host: .+, probed in (?P<seconds>\d+\.\d\d) s", "probe"),
-    (r"(?P<variant>\S+) measured in (?P<seconds>\d+\.\d\d) s \(.+\)", None),
+    (r"(?P<variant>\S+) \(\d+/\d+\) measured in (?P<seconds>\d+\.\d\d) s", None),
     (r"benchmark: .+ measured in (?P<seconds>\d+\.\d\d) s", "benchmark"),
     (r"report: \d+ benchmark files written in (?P<seconds>\d+\.\d\d) s", "benchmark_report"),
     (r"simulation: \d+ batches in (?P<seconds>\d+\.\d\d) s", "simulation"),
@@ -422,8 +422,8 @@ class TestRunPipeline:
         seconds = r"\d+\.\d\d s"
         patterns = [
             rf"host: .+, timer resolution \d+ ns, probed in {seconds}",
-            rf"ML-DSA-44 measured in {seconds} \(1/2, ETA \d+\.\d s\)",
-            rf"Dilithium2 measured in {seconds} \(2/2, ETA 0\.0 s\)",
+            rf"ML-DSA-44 \(1/2\) measured in {seconds}",
+            rf"Dilithium2 \(2/2\) measured in {seconds}",
             rf"benchmark: 2 of 2 variants measured in {seconds}",
             rf"report: 2 benchmark files written in {seconds}",
             rf"simulation: 4 batches in {seconds}",

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from chainsig import cli
-from chainsig.report import LevelGroup, Operation, ReportDataset, ReportRow, Stage
+from chainsig.report import Operation, ReportDataset, ReportRow, Stage
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,9 +77,7 @@ def test_report_writers_return_bytes_written(tmp_path):
     written = cli.write_csv(dataset, csv_path, comments=("host=Grüße",))
     assert written == csv_path.stat().st_size
     svg_path = tmp_path / "chart.svg"
-    written = cli.render_bar_chart(
-        dataset, "latency µs", LevelGroup.LOWER, (Operation.VERIFY,), svg_path
-    )
+    written = cli.render_bar_chart(dataset, "latency µs", svg_path)
     assert isinstance(written, int)
     assert written == svg_path.stat().st_size
 

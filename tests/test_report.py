@@ -168,20 +168,6 @@ class TestDataset:
         )
         assert len(dataset.rows) == 2
 
-    def test_filter_by_stage_and_model(self):
-        dataset = ReportDataset(
-            (
-                bench_row(),
-                sim_row(model=ChainModel.BITCOIN),
-                sim_row(model=ChainModel.ETHEREUM, mean=6.9448, std=0.2),
-            )
-        )
-        # benchmark rows carry no model, so a model filter drops them
-        bitcoin = dataset.filter(model=ChainModel.BITCOIN)
-        assert [row.stage for row in bitcoin.rows] == [Stage.SIMULATION]
-        ethereum = dataset.filter(model=ChainModel.ETHEREUM)
-        assert [row.model for row in ethereum.rows] == [ChainModel.ETHEREUM]
-
 
 class TestWriteCsv:
     def test_empty_dataset_is_header_only(self):
@@ -303,6 +289,18 @@ class TestParseCsv:
         target = tmp_path / "roundtrip.csv"
         write_csv(dataset, target)
         assert parse_csv(target).rows == dataset.rows
+
+    def test_byte_order_mark_dropped_from_any_source(self, tmp_path):
+        # spreadsheet tools save a CSV with a UTF-8 byte-order mark ahead of line 1
+        plain = parse_csv(DATA_DIR / "golden_report.csv").rows
+        assert plain
+        text = (DATA_DIR / "golden_report.csv").read_text(encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_csv(io.StringIO("\ufeff" + text)).rows == plain
+        with open(marked, encoding="utf-8") as handle:
+            assert parse_csv(handle).rows == plain
+        assert parse_csv(marked).rows == plain
 
     def test_awkward_machine_strings_round_trip(self):
         rows = (
@@ -471,20 +469,30 @@ def chart_rows():
 ALL_OPS = (Operation.KEYPAIR, Operation.SIGN, Operation.VERIFY)
 
 
-def tick_labels(dataset, series=(Operation.VERIFY,)):
-    """The value-axis labels of dataset's lower-group chart, bottom to top."""
+def tick_labels(dataset):
+    """The value-axis labels of dataset's chart, bottom to top."""
     buffer = io.StringIO()
-    render_bar_chart(dataset, "t", LevelGroup.LOWER, series, buffer)
+    render_bar_chart(dataset, "t", buffer)
     return re.findall(
         r'<text x="74" y="[\d.]+" font-size="11" text-anchor="end">([^<]*)</text>',
         buffer.getvalue(),
     )
 
 
+def legend(svg):
+    """The legend's labels, top to bottom."""
+    return re.findall(r'<text x="804" y="\d+" font-size="11">([^<]*)</text>', svg)
+
+
+def only(operation):
+    """chart_rows' rows of one operation."""
+    return ReportDataset(tuple(row for row in chart_rows().rows if row.operation is operation))
+
+
 class TestRenderBarChart:
     def test_valid_svg_with_variant_labels(self, tmp_path):
         target = tmp_path / "chart.svg"
-        count = render_bar_chart(chart_rows(), "ops", LevelGroup.LOWER, ALL_OPS, target)
+        count = render_bar_chart(chart_rows(), "ops", target)
         text = target.read_text(encoding="utf-8")
         assert text.startswith("<svg ")
         assert text.endswith("</svg>\n")
@@ -495,7 +503,7 @@ class TestRenderBarChart:
 
     def test_bar_count_and_metadata(self):
         buffer = io.StringIO()
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, buffer)
+        render_bar_chart(chart_rows(), "t", buffer)
         bars = re.findall(r'<rect[^>]*data-variant="([^"]+)" data-op="([^"]+)"', buffer.getvalue())
         assert sorted(bars) == sorted(
             [(v, op.value) for v in ("P-256", "Falcon-512") for op in ALL_OPS]
@@ -503,7 +511,7 @@ class TestRenderBarChart:
 
     def test_taller_bar_for_larger_mean(self):
         buffer = io.StringIO()
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, (Operation.KEYPAIR,), buffer)
+        render_bar_chart(only(Operation.KEYPAIR), "t", buffer)
         heights = {
             match.group(2): float(match.group(1))
             for match in re.finditer(
@@ -516,13 +524,13 @@ class TestRenderBarChart:
 
     def test_deterministic_bytes(self):
         first, second = io.StringIO(), io.StringIO()
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, first)
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, second)
+        render_bar_chart(chart_rows(), "t", first)
+        render_bar_chart(chart_rows(), "t", second)
         assert first.getvalue() == second.getvalue()
 
     def test_data_mean_is_the_csv_text(self):
         chart, table = io.StringIO(), io.StringIO()
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, chart)
+        render_bar_chart(chart_rows(), "t", chart)
         write_csv(chart_rows(), table)
         csv_means = {
             (fields[2], fields[6]): fields[7]
@@ -544,26 +552,30 @@ class TestRenderBarChart:
             )
         )
         first, second = io.StringIO(), io.StringIO()
-        render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, ALL_OPS, first)
-        render_bar_chart(nudged, "t", LevelGroup.LOWER, ALL_OPS, second)
+        render_bar_chart(chart_rows(), "t", first)
+        render_bar_chart(nudged, "t", second)
         assert first.getvalue() == second.getvalue()
 
-    def test_empty_group_raises(self):
-        with pytest.raises(EmptySelection):
-            render_bar_chart(chart_rows(), "t", LevelGroup.LEVEL5, ALL_OPS, io.StringIO())
+    def test_series_are_the_operations_the_rows_hold(self):
+        buffer = io.StringIO()
+        render_bar_chart(only(Operation.SIGN), "t", buffer)
+        assert legend(buffer.getvalue()) == ["sign"]
+        assert set(re.findall(r'data-op="([^"]+)"', buffer.getvalue())) == {"sign"}
+        # in Operation order, whatever the order of the rows
+        buffer = io.StringIO()
+        render_bar_chart(ReportDataset(chart_rows().rows[::-1]), "t", buffer)
+        assert legend(buffer.getvalue()) == ["keypair", "sign", "verify"]
 
-    def test_empty_series_rejected(self):
-        with pytest.raises(EmptySelection, match="series"):
-            render_bar_chart(chart_rows(), "t", LevelGroup.LOWER, (), io.StringIO())
+    def test_empty_rows_raise(self):
+        with pytest.raises(EmptySelection):
+            render_bar_chart(ReportDataset(()), "t", io.StringIO())
 
     def test_two_machines_same_variant_rejected(self):
         dataset = ReportDataset(
             (bench_row(machine="a"), bench_row(machine="b"))
         )
         with pytest.raises(DuplicateRow):
-            render_bar_chart(
-                dataset, "t", LevelGroup.LOWER, (Operation.VERIFY,), io.StringIO()
-            )
+            render_bar_chart(dataset, "t", io.StringIO())
 
     def test_log_scale_has_decade_ticks(self):
         dataset = ReportDataset(
@@ -580,13 +592,11 @@ class TestRenderBarChart:
                 ),
             )
         )
-        assert tick_labels(dataset, (Operation.SIGN,)) == ["0.01", "0.1", "1", "10", "100"]
+        assert tick_labels(dataset) == ["0.01", "0.1", "1", "10", "100"]
 
     def test_single_row_chart(self):
         buffer = io.StringIO()
-        render_bar_chart(
-            ReportDataset((bench_row(),)), "solo", LevelGroup.LOWER, (Operation.VERIFY,), buffer
-        )
+        render_bar_chart(ReportDataset((bench_row(),)), "solo", buffer)
         assert 'data-variant="P-256"' in buffer.getvalue()
 
     def test_simulation_rows_chartable(self):
@@ -594,9 +604,7 @@ class TestRenderBarChart:
             (sim_row(), sim_row(variant="Falcon-512", family="Falcon", mean=53.0, std=1.0))
         )
         buffer = io.StringIO()
-        render_bar_chart(
-            dataset, "per-block cost", LevelGroup.LOWER, (Operation.VERIFY,), buffer
-        )
+        render_bar_chart(dataset, "per-block cost", buffer)
         assert 'data-variant="Falcon-512"' in buffer.getvalue()
 
 
