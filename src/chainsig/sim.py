@@ -23,7 +23,11 @@ signature costs exactly the mean.
 The draws depend on the config alone, not on the verify statistic: every
 variant simulated under one config sees the same transaction counts and
 the same standard-normal draws (common random numbers), so differences
-between variants are not sampling noise.
+between variants are not sampling noise. A config's draws are made once
+and cached as flat columns of 8-byte values: a count and a normal per
+block, and each run's sum of counts, count-weighted sum of normals and
+smallest normal. The cache therefore grows by 16 bytes per block, not
+by a Python object per value.
 
 The draws come from the standard library's random.Random, seeded with
 the config's seed: transaction counts by Hormann's PTRS transformed
@@ -44,7 +48,7 @@ import functools
 import math
 import operator
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import ClassVar, NamedTuple
 
 from .bench import StatSummary, summarize
@@ -89,7 +93,12 @@ _MODEL_DEFAULTS = {
 }
 
 
-def _poisson(random: Callable[[], float], lam: float, count: int) -> list[int]:
+def _column(code: str, count: int) -> memoryview:
+    """count zeroed 8-byte values of struct format code, in one bytearray."""
+    return memoryview(bytearray(8 * count)).cast(code)
+
+
+def _poisson(random: Callable[[], float], lam: float, count: int) -> memoryview:
     """count Poisson(lam) draws by Hormann's PTRS transformed rejection (1993).
 
     Every variate is built from random() alone; the squeeze and the log
@@ -102,8 +111,9 @@ def _poisson(random: Callable[[], float], lam: float, count: int) -> list[int]:
     a = -0.059 + 0.02483 * b
     log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
     v_r = 0.9277 - 3.6224 / (b - 2.0)
-    draws = []
-    while len(draws) < count:
+    draws = _column("q", count)
+    drawn = 0
+    while drawn < count:
         u = random() - 0.5
         v = 1.0 - random()
         us = 0.5 - abs(u)
@@ -116,46 +126,63 @@ def _poisson(random: Callable[[], float], lam: float, count: int) -> list[int]:
             and math.log(v) + log_alpha - math.log(a / (us * us) + b)
             <= k * log_lam - lam - math.lgamma(k + 1)
         ):
-            draws.append(k)
+            draws[drawn] = k
+            drawn += 1
     return draws
 
 
-def _standard_normals(random: Callable[[], float], count: int) -> list[float]:
+def _standard_normals(random: Callable[[], float], count: int) -> memoryview:
     """count standard normals by Box-Muller, two per pair of random() calls."""
-    normals = []
-    for _ in range(0, count, 2):
+    normals = _column("d", count + count % 2)
+    for i in range(0, count, 2):
         # 1 - random() lies in (0, 1], so the log is finite
         radius = math.sqrt(-2.0 * math.log(1.0 - random()))
         angle = math.tau * random()
-        normals += (radius * math.cos(angle), radius * math.sin(angle))
-    del normals[count:]
-    return normals
+        normals[i] = radius * math.cos(angle)
+        normals[i + 1] = radius * math.sin(angle)
+    return normals[:count]
 
 
-# one run's (sum tx, fsum tx * z, min z, tx counts, standard normals)
-_Run = tuple[int, float, float, tuple[int, ...], tuple[float, ...]]
+class _Draws(NamedTuple):
+    """One config's draws: three per-run columns and two per-block ones.
+
+    Run r owns blocks r * blocks_per_run up to (r + 1) * blocks_per_run
+    of tx and z.
+    """
+
+    tx_total: memoryview  # per run: sum tx
+    tx_z: memoryview  # per run: fsum tx * z
+    z_min: memoryview  # per run: min z
+    tx: memoryview  # per block: transaction count
+    z: memoryview  # per block: standard normal
+
+
+def _by_run(column: memoryview, blocks: int) -> Iterator[memoryview]:
+    """A per-block column cut into consecutive runs of blocks values."""
+    return (column[start : start + blocks] for start in range(0, len(column), blocks))
 
 
 @functools.lru_cache(maxsize=len(ChainModel))
-def _draws(config: SimulationConfig) -> tuple[_Run, ...]:
-    """One _Run per run of config, drawn once.
+def _draws(config: SimulationConfig) -> _Draws:
+    """The draws of config, made once.
 
     Counts and normals come from one generator seeded with config.seed,
     every count before the first normal, in run-major order. A run
     simulates every verify row under the same config, so the cache holds
-    one entry per chain model; its tuples cannot be changed by a caller.
+    one entry per chain model. Each column is a flat bytearray of 8-byte
+    values, not a Python object per value, and the cache hands out
+    read-only views of it.
     """
     rng = random.Random(config.seed & _SEED_MASK)
-    blocks = config.blocks_per_run
-    size = config.runs * blocks
-    counts = _poisson(rng.random, _MODEL_DEFAULTS[config.model][0], size)
-    normals = _standard_normals(rng.random, size)
-    runs = []
-    for start in range(0, size, blocks):
-        tx = tuple(counts[start : start + blocks])
-        z = tuple(normals[start : start + blocks])
-        runs.append((sum(tx), math.fsum(map(operator.mul, tx, z)), min(z), tx, z))
-    return tuple(runs)
+    runs, blocks = config.runs, config.blocks_per_run
+    tx = _poisson(rng.random, _MODEL_DEFAULTS[config.model][0], runs * blocks)
+    z = _standard_normals(rng.random, runs * blocks)
+    tx_total, tx_z, z_min = _column("q", runs), _column("d", runs), _column("d", runs)
+    for run, (tx_run, z_run) in enumerate(zip(_by_run(tx, blocks), _by_run(z, blocks))):
+        tx_total[run] = sum(tx_run)
+        tx_z[run] = math.fsum(map(operator.mul, tx_run, z_run))
+        z_min[run] = min(z_run)
+    return _Draws(*(column.toreadonly() for column in (tx_total, tx_z, z_min, tx, z)))
 
 
 def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSummary:
@@ -165,15 +192,21 @@ def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSu
     and standard normals (common random numbers). A block's per-signature
     cost is max(mean + std * z, 0). A run whose smallest z keeps that cost
     non-negative costs (mean * sum tx + std * sum tx*z) / blocks without a
-    pass over its blocks; any other run sums its blocks one by one.
+    pass over its blocks; any other run sums its blocks one by one. That
+    test reads only the smallest z, so a negative std is refused.
     """
     mean, std = verify_stat.mean_ms, verify_stat.std_ms
+    if not std >= 0.0:
+        raise ValueError(f"verify std_ms must be >= 0, got {std!r}")
     blocks = config.blocks_per_run
+    draws = _draws(config)
     run_means = []
-    for tx_total, tx_z, z_min, tx, z in _draws(config):
+    starts = range(0, len(draws.tx), blocks)
+    for start, tx_total, tx_z, z_min in zip(starts, draws.tx_total, draws.tx_z, draws.z_min):
         if mean + std * z_min >= 0.0:
             run_means.append((mean * tx_total + std * tx_z) / blocks)
         else:
+            tx, z = draws.tx[start : start + blocks], draws.z[start : start + blocks]
             costs = (max(mean + std * z_i, 0.0) for z_i in z)
             run_means.append(math.fsum(map(operator.mul, tx, costs)) / blocks)
     return summarize(run_means)

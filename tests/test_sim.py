@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -178,6 +179,13 @@ class TestSimulateBatch:
     def test_negative_seed_is_masked(self):
         assert simulate_batch(_config(runs=2, seed=-1), _stat(0.05)).n == 2
 
+    @pytest.mark.parametrize("std", [-0.02, math.nan])
+    def test_rejects_a_std_that_is_not_non_negative(self, std):
+        # the per-run shortcut reads only the smallest z, which is the
+        # draw that clamps first only when std >= 0
+        with pytest.raises(ValueError, match="std_ms must be >= 0"):
+            simulate_batch(_config(runs=2), _stat(0.01, std))
+
     @pytest.mark.parametrize(
         "model,verify_mean,expected",
         [
@@ -280,12 +288,13 @@ class TestSharedDraws:
         _stat(3.0, 0.0),
         _stat(1.0, 0.45),
         _stat(0.01, 0.02),
+        _stat(0.0, 1.0),
     )
 
     def test_some_runs_clamp_and_some_do_not(self):
         config = SimulationConfig(ChainModel.ETHEREUM, runs=50, seed=0)
         stat = self.STATS[3]
-        clamped = [stat.mean_ms + stat.std_ms * run[2] < 0.0 for run in sim._draws(config)]
+        clamped = [stat.mean_ms + stat.std_ms * z < 0.0 for z in sim._draws(config).z_min]
         assert any(clamped) and not all(clamped)
 
     @pytest.mark.parametrize("std", ["measured", "zero"])
@@ -305,12 +314,34 @@ class TestSharedDraws:
                 )
 
     def test_cached_draws_are_read_only(self):
-        runs = sim._draws(_config(ChainModel.ETHEREUM, runs=5))
-        assert type(runs) is tuple and len(runs) == 5
-        for run in runs:
-            assert type(run) is tuple
-            tx_counts, z = run[3], run[4]
-            assert type(tx_counts) is tuple and type(z) is tuple
+        config = _config(ChainModel.ETHEREUM, runs=5)
+        draws = sim._draws(config)
+        before = [column.tolist() for column in draws]
+        assert len(draws.tx_total) == 5 and len(draws.tx) == 5 * config.blocks_per_run
+        for column in draws:
+            with pytest.raises(TypeError):
+                column[0] = column[0]
+        assert [column.tolist() for column in sim._draws(config)] == before
+
+    def test_draws_hold_no_python_object_per_block(self):
+        # 32 bytes a block leaves room for the 16 the two per-block
+        # columns take; a Python int and float per block take about 86
+        config = _config(ChainModel.BITCOIN, runs=1000, seed=7)
+        sim._draws.cache_clear()
+        # under -X tracemalloc, measure from here and leave tracing on
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            tracemalloc.reset_peak()
+        else:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sim._draws(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 32 * config.runs * config.blocks_per_run
 
 
 def _pearson_chi_square(draws: list[int], lam: float) -> tuple[float, int]:
