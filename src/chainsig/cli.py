@@ -29,8 +29,8 @@ from .errors import (
     UsageError,
 )
 from .report import (
-    LevelGroup, Operation, ReportDataset, ReportRow, Stage, level_group, parse_csv,
-    render_bar_chart, write_csv,
+    LEVEL_GROUPS, Operation, ReportDataset, ReportRow, Stage, parse_csv, render_bar_chart,
+    write_csv,
 )
 from .schemes import (
     FAMILY_ORDER, PROVIDER_ENV, VALID_LEVELS, VariantDescriptor, by_variant, catalog,
@@ -382,12 +382,11 @@ def _write_report(
         for model in ChainModel
     ]
     for model, title, prefix in charts:
-        for group in LevelGroup:
-            rows = tuple(row for row in dataset.rows
-                         if row.model is model and level_group(row.level) is group)
+        for levels, part, heading in LEVEL_GROUPS:
+            rows = tuple(row for row in dataset.rows if row.model is model and row.level in levels)
             if rows:
-                chart = f"{prefix}_{group.name.lower()}.svg"
-                render_bar_chart(ReportDataset(rows), f"{title}, {group.value}", output_dir / chart)
+                chart = f"{prefix}_{part}.svg"
+                render_bar_chart(ReportDataset(rows), f"{title}, {heading}", output_dir / chart)
                 written.append(chart)
     return written
 

@@ -36,38 +36,24 @@ class Operation(enum.Enum):
     VERIFY = "verify"
 
 
-class LevelGroup(enum.Enum):
-    """Chart grouping: levels 1 and 2 share the lower group."""
+#: rank of each Stage and Operation member, the order of their rows in the CSV
+_RANK = {member: index for kind in (Stage, Operation) for index, member in enumerate(kind)}
 
-    LOWER = "Lower Level (1 or 2)"
-    LEVEL3 = "Level 3"
-    LEVEL5 = "Level 5"
-
-
-_LEVEL_GROUPS = {
-    1: LevelGroup.LOWER,
-    2: LevelGroup.LOWER,
-    3: LevelGroup.LEVEL3,
-    5: LevelGroup.LEVEL5,
-}
+#: the chart groups, in chart order: the levels each holds, its file-name
+#: part and its title part; a row's level must be in one of them
+LEVEL_GROUPS = (
+    ((1, 2), "lower", "Lower Level (1 or 2)"),
+    ((3,), "level3", "Level 3"),
+    ((5,), "level5", "Level 5"),
+)
 
 _MODEL_LABELS = {model.label: model for model in ChainModel}
-
-_CHART_WIDTH = 960
-_CHART_HEIGHT = 540
 
 _OP_COLORS = {
     Operation.KEYPAIR: "#4c72b0",
     Operation.SIGN: "#dd8452",
     Operation.VERIFY: "#55a868",
 }
-
-
-def level_group(level: int) -> LevelGroup:
-    try:
-        return _LEVEL_GROUPS[level]
-    except KeyError:
-        raise ValueError(f"no chart group for level {level}") from None
 
 
 class _ReportRow(NamedTuple):
@@ -97,7 +83,7 @@ class ReportRow(Validated, _ReportRow):
                 raise ValueError(
                     f"{name} must not contain NUL or carriage-return characters"
                 )
-        if self.level not in _LEVEL_GROUPS:
+        if not any(self.level in levels for levels, _, _ in LEVEL_GROUPS):
             raise ValueError(f"invalid level {self.level}")
         if self.stage is Stage.SIMULATION:
             if self.model is None:
@@ -121,11 +107,11 @@ class ReportRow(Validated, _ReportRow):
 
 def _sort_key(row: ReportRow) -> tuple:
     return (
-        list(Stage).index(row.stage),
+        _RANK[row.stage],
         _FAMILY_INDEX.get(row.family, len(_FAMILY_INDEX)),
         row.family,
         row.level,
-        list(Operation).index(row.operation),
+        _RANK[row.operation],
         0 if row.model is None else row.model.value,
         row.machine,
         row.variant,
@@ -269,8 +255,6 @@ def parse_csv(source: str | Path | IO[str]) -> ReportDataset:
 
 
 def _nice_step(raw: float) -> float:
-    if raw <= 0:
-        return 1.0
     exponent = math.floor(math.log10(raw))
     fraction = raw / 10**exponent
     for candidate in (1.0, 2.0, 5.0):
@@ -313,7 +297,7 @@ def render_bar_chart(dataset: ReportDataset, title: str, destination: str | Path
     # bars in the order the CSV lists their rows
     variants = list(dict.fromkeys(row.variant for row in sorted(rows, key=_sort_key)))
 
-    width, height = _CHART_WIDTH, _CHART_HEIGHT
+    width, height = 960, 540
     left, right, top, bottom = 80, 24, 56, 120
     plot_w = width - left - right
     plot_h = height - top - bottom

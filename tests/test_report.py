@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from chainsig.errors import DuplicateRow, EmptySelection, IoFailure
 from chainsig.report import (
     CSV_HEADER,
+    LEVEL_GROUPS,
     _attr,
     _escape,
-    LevelGroup,
     Operation,
     ReportDataset,
     ReportRow,
     Stage,
-    level_group,
     parse_csv,
     render_bar_chart,
     write_csv,
@@ -79,21 +78,13 @@ def sim_row(
     )
 
 
-class TestLevelGroup:
-    def test_mapping(self):
-        assert level_group(1) is LevelGroup.LOWER
-        assert level_group(2) is LevelGroup.LOWER
-        assert level_group(3) is LevelGroup.LEVEL3
-        assert level_group(5) is LevelGroup.LEVEL5
-
-    def test_level_4_has_no_group(self):
-        with pytest.raises(ValueError):
-            level_group(4)
-
-    def test_labels_verbatim(self):
-        assert LevelGroup.LOWER.value == "Lower Level (1 or 2)"
-        assert LevelGroup.LEVEL3.value == "Level 3"
-        assert LevelGroup.LEVEL5.value == "Level 5"
+def test_level_groups_in_chart_order():
+    # the paper's grouping; chart file names and titles are built from these parts
+    assert LEVEL_GROUPS == (
+        ((1, 2), "lower", "Lower Level (1 or 2)"),
+        ((3,), "level3", "Level 3"),
+        ((5,), "level5", "Level 5"),
+    )
 
 
 class TestReportRowValidation:
@@ -565,6 +556,34 @@ class TestRenderBarChart:
         buffer = io.StringIO()
         render_bar_chart(ReportDataset(chart_rows().rows[::-1]), "t", buffer)
         assert legend(buffer.getvalue()) == ["keypair", "sign", "verify"]
+
+    def test_missing_cell_leaves_its_slot_empty(self):
+        # Falcon-512 has a verify row only, as in a replay CSV that holds one operation of it
+        partial = ReportDataset(
+            tuple(
+                row for row in chart_rows().rows
+                if row.variant == "P-256" or row.operation is Operation.VERIFY
+            )
+        )
+
+        def bars(dataset):
+            """dataset's chart, and the (x, variant, op) of each of its bars."""
+            buffer = io.StringIO()
+            render_bar_chart(dataset, "t", buffer)
+            return buffer.getvalue(), re.findall(
+                r'<rect x="([\d.]+)"[^>]*data-variant="([^"]+)" data-op="([^"]+)"',
+                buffer.getvalue(),
+            )
+
+        svg, drawn = bars(partial)
+        full_x = {(variant, op): x for x, variant, op in bars(chart_rows())[1]}
+        assert len(drawn) == 4
+        assert [(x, op) for x, variant, op in drawn if variant == "Falcon-512"] == [
+            (full_x["Falcon-512", "verify"], "verify")
+        ]
+        # the third series slot of its cluster, as in the full chart, not the first
+        assert full_x["Falcon-512", "verify"] != full_x["Falcon-512", "keypair"]
+        assert legend(svg) == ["keypair", "sign", "verify"]
 
     def test_empty_rows_raise(self):
         with pytest.raises(EmptySelection):
