@@ -78,13 +78,22 @@ def sim_row(
     )
 
 
-def test_level_groups_in_chart_order():
-    # the paper's grouping; chart file names and titles are built from these parts
-    assert LEVEL_GROUPS == (
-        ((1, 2), "lower", "Lower Level (1 or 2)"),
-        ((3,), "level3", "Level 3"),
-        ((5,), "level5", "Level 5"),
-    )
+class TestLevelGroup:
+    # the paper's grouping, in chart order; chart file names and titles are built
+    # from these parts
+    def test_mapping(self):
+        assert [(levels, slug) for levels, slug, _ in LEVEL_GROUPS] == [
+            ((1, 2), "lower"),
+            ((3,), "level3"),
+            ((5,), "level5"),
+        ]
+
+    def test_labels_verbatim(self):
+        assert [title for _, _, title in LEVEL_GROUPS] == [
+            "Lower Level (1 or 2)",
+            "Level 3",
+            "Level 5",
+        ]
 
 
 class TestReportRowValidation:
