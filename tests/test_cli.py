@@ -249,6 +249,69 @@ _GOLDEN_REPLAY_DIGESTS = {
         "fc4f4c0bc767e083f031f1c0695e4e9b9f137c249ef778a01f9e7641b9332963",
 }
 
+#: the host a measuring golden run records
+_GOLDEN_HOST = EnvironmentInfo("golden host", 1 << 30, "golden-os", 100.0)
+
+#: SHA-256 of each file a stub run of every variant writes with --runs 20
+#: --warm-up 2 --runs-simulator 20 --seed 5, when clock read k returns
+#: 50 k^2 ns, so that each window is longer than the one before it
+_GOLDEN_MEASURED_DIGESTS = {
+    "benchmark.csv": "4bc3f39a191d5a2d732f2f8842a7fd62ff50c872a201b7fe1c0d4aaeec3c6a8b",
+    "benchmark_level3.svg": "94cada1b7a9e12d0c3ccb3a267160e421b96f29cf1f59ff530c114ed1d27b8bb",
+    "benchmark_level5.svg": "72ac7c529ff2524c2b45362502f48874868141cbf63af710c098c4843cfeef39",
+    "benchmark_lower.svg": "8b158c0deb0e3666031c3df64185ef6068960341b2ff7020ae47763e73d57a25",
+    "simulation.csv": "9f4bc89e131502b280c6a11982b9dbc2d64e795881c38947d2d3170cb10eaa7d",
+    "simulation_bitcoin_level3.svg":
+        "b4e2e46eeea9f14adde241ac30bed9ccbb02eb4fb1907b7b80047ac2eea07a92",
+    "simulation_bitcoin_level5.svg":
+        "f4b1b49efe0f894bd4c836ea8b74c31aea3e720065a68a2286c7c511c3eec869",
+    "simulation_bitcoin_lower.svg":
+        "758e735c7c6815dd60c9bf2381ae13b3608625b62f08fd52f70187be19054e95",
+    "simulation_ethereum_level3.svg":
+        "778a04de8cf90d603a2af6394aebc8b20e60ee817238d89468599d80056f4334",
+    "simulation_ethereum_level5.svg":
+        "a46bd04ace33fac69948f6b167e0623d9faff936cad4d8e79ceecef75b80756a",
+    "simulation_ethereum_lower.svg":
+        "0db591632999f08d1303fbc8c4e4e19b08ad93672b7fe59a73adb04a6d8d69a3",
+}
+
+#: that run's manifest, without its timestamp and timings
+_GOLDEN_MEASURED_MANIFEST = {
+    "config": {
+        "families": None,
+        "levels": [1, 2, 3, 5],
+        "message_len": 32,
+        "models": [1, 2],
+        "output_dir": "out",
+        "replay_benchmarks": None,
+        "runs": 20,
+        "runs_simulator": 20,
+        "seed": 5,
+        "skip_simulation": False,
+        "warmup": 2,
+    },
+    "environment": {
+        "cpu_model": "golden host",
+        "memory_bytes": 1 << 30,
+        "os_descriptor": "golden-os",
+        "timer_resolution_ns": 100.0,
+    },
+    "outputs": [
+        "benchmark.csv",
+        "benchmark_lower.svg",
+        "benchmark_level3.svg",
+        "benchmark_level5.svg",
+        "simulation.csv",
+        "simulation_bitcoin_lower.svg",
+        "simulation_bitcoin_level3.svg",
+        "simulation_bitcoin_level5.svg",
+        "simulation_ethereum_lower.svg",
+        "simulation_ethereum_level3.svg",
+        "simulation_ethereum_level5.svg",
+    ],
+    "skipped": [],
+}
+
 
 #: the INFO lines that print elapsed seconds, and the timings key each
 #: prints; None stands for the variant the line names
@@ -727,6 +790,28 @@ class TestRunPipeline:
             if path.suffix in {".csv", ".svg"}
         }
         assert written == _GOLDEN_REPLAY_DIGESTS
+
+    def test_full_catalog_measuring_run_matches_golden_digests(
+        self, tmp_path, stub_provider, monkeypatch
+    ):
+        reads = itertools.count()
+        monkeypatch.setattr("chainsig.bench.time.perf_counter_ns", lambda: 50 * next(reads) ** 2)
+        monkeypatch.setattr(cli, "probe_environment", lambda: _GOLDEN_HOST)
+        # a relative output directory, so that the manifest's config holds no tmp_path
+        monkeypatch.chdir(tmp_path)
+        argv = ["--runs", "20", "--warm-up", "2", "--runs-simulator", "20", "--seed", "5",
+                "--output-dir", "out"]
+        assert main(argv) == 0
+        out = tmp_path / "out"
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.suffix in {".csv", ".svg"}
+        }
+        assert written == _GOLDEN_MEASURED_DIGESTS
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["timestamp"], manifest["timings"]
+        assert manifest == _GOLDEN_MEASURED_MANIFEST
 
     def test_simulation_rows_carry_their_verify_row_labels(self, tmp_path):
         replay_csv = write_replay(
