@@ -31,9 +31,10 @@ from .schemes import SchemeInstance
 #: pairs; enough to defeat trivial caching without paying sign cost per run
 VERIFY_POOL_SIZE = 128
 
-_RESOLUTION_PAIRS = 1_000_000
-#: the timer probe stops after this many positive deltas
-_RESOLUTION_DELTAS = 10_000
+#: the loop floor is taken over this many blocks of 1,000 no-op calls
+_FLOOR_BLOCKS = 10
+#: read pairs after which a clock that gave the floor no positive sample is refused
+_ADVANCE_PAIRS = 1_000_000
 
 
 class StatSummary(NamedTuple):
@@ -70,7 +71,7 @@ class EnvironmentInfo(NamedTuple):
     cpu_model: str
     memory_bytes: int
     os_descriptor: str
-    timer_resolution_ns: float
+    loop_floor_ns: dict[str, float]
 
 
 class BenchmarkRecord(NamedTuple):
@@ -79,34 +80,6 @@ class BenchmarkRecord(NamedTuple):
     keypair_stat: StatSummary
     sign_stat: StatSummary
     verify_stat: StatSummary
-
-
-def measure_timer_resolution(pairs: int = _RESOLUTION_PAIRS) -> float:
-    """Smallest positive delta between consecutive clock readings, in ns.
-
-    Reads the clock until it has seen 10^4 positive deltas, or until
-    pairs read pairs (10^6 by default) when the clock is coarser; more
-    deltas do not move the minimum. The result reflects the effective
-    granularity of timed intervals (clock quantum plus the cost of a
-    reading). Raises ClockUnavailable when the clock never advanced.
-    """
-    clock = time.perf_counter_ns
-    best = None
-    wanted = _RESOLUTION_DELTAS
-    previous = clock()
-    for _ in itertools.repeat(None, pairs):
-        current = clock()
-        delta = current - previous
-        if delta > 0:
-            if best is None or delta < best:
-                best = delta
-            wanted -= 1
-            if not wanted:
-                break
-        previous = current
-    if best is None:
-        raise ClockUnavailable(f"clock never advanced over {pairs} read pairs")
-    return float(best)
 
 
 def time_operation(
@@ -152,6 +125,35 @@ def time_operation(
     for index, delta in enumerate(deltas):
         deltas[index] = delta / 1e6
     return deltas
+
+
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle values of an even count."""
+    ordered = sorted(values)
+    return (ordered[len(ordered) // 2] + ordered[~(len(ordered) // 2)]) / 2
+
+
+def measure_floor() -> dict[str, float]:
+    """The harness floor in ns: what time_operation reports for a no-op call.
+
+    The median, min and max of the medians of 10 blocks of 10^3 calls,
+    each block after 100 warm-ups, to 0.1 ns; a clock coarser than the
+    floor reads 0. If no sample is positive, the clock is read until it
+    advances, up to 10^6 read pairs, else ClockUnavailable is raised.
+    """
+    plan = RunPlan(warmup=100, runs=1_000)
+    medians, ticked = [], False
+    for _ in range(_FLOOR_BLOCKS):  # holding one block's samples at a time, not 10^4
+        samples = time_operation(lambda: None, plan)
+        medians.append(_median(samples))
+        ticked = ticked or any(samples)
+    if not ticked:
+        first = time.perf_counter_ns()
+        if all(time.perf_counter_ns() == first for _ in itertools.repeat(None, _ADVANCE_PAIRS)):
+            raise ClockUnavailable(f"clock never advanced over {_ADVANCE_PAIRS} read pairs")
+    # samples are in ms; 0.1 ns drops the float error of the trip back to ns
+    stats = {"median": _median(medians), "min": min(medians), "max": max(medians)}
+    return {name: round(value * 1e6, 1) for name, value in stats.items()}
 
 
 def summarize(samples: Iterable[float]) -> StatSummary:
@@ -317,6 +319,6 @@ def probe_environment() -> EnvironmentInfo:
         cpu_model=_cpu_model(),
         memory_bytes=_memory_bytes(),
         os_descriptor=_os_descriptor(),
-        timer_resolution_ns=measure_timer_resolution(),
+        loop_floor_ns=measure_floor(),
     )
 

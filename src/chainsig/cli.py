@@ -433,10 +433,8 @@ def run_pipeline(config: CliConfig) -> int:
     else:
         with _stage(timings, "probe") as line:
             environment = probe_environment()
-            line.append(
-                f"host: {environment.cpu_model}, timer resolution"
-                f" {environment.timer_resolution_ns:.0f} ns, probed"
-            )
+            floor = environment.loop_floor_ns["median"]
+            line.append(f"host: {environment.cpu_model}, loop floor {floor:.0f} ns, probed")
         plan = RunPlan(warmup=config.warmup, runs=config.runs, message_len=config.message_len)
         with _stage(timings, "benchmark") as line:
             bench_dataset, skipped, variant_seconds = _measure(

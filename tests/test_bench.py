@@ -22,7 +22,7 @@ from chainsig.bench import (
     StatSummary,
     _random_messages,
     benchmark_variant,
-    measure_timer_resolution,
+    measure_floor,
     probe_environment,
     summarize,
     time_operation,
@@ -346,36 +346,34 @@ def _now_ns():
     return time.perf_counter_ns()
 
 
-class TestTimerResolution:
-    def test_positive_and_finite(self):
-        resolution = measure_timer_resolution(pairs=200_000)
-        assert resolution > 0.0
-        assert math.isfinite(resolution)
-
-    def test_repeatable_within_an_order_of_magnitude(self):
-        first = measure_timer_resolution(pairs=200_000)
-        second = measure_timer_resolution(pairs=200_000)
-        assert max(first, second) / min(first, second) < 10.0
-
-    def test_stops_after_ten_thousand_positive_deltas(self, fake_clock):
-        clock = fake_clock(lambda k: k)
-        assert measure_timer_resolution() == 1.0
-        # the first reading, then one per positive delta
-        assert clock.reads == 10**4 + 1
-
-    def test_coarse_clock_is_still_measured(self, fake_clock):
-        clock = fake_clock(lambda k: k // 40 * 250)
-        assert measure_timer_resolution() == 250.0
-        assert clock.reads == 40 * 10**4 + 1
+class TestMeasureFloor:
+    @pytest.mark.parametrize("step", [1, 83, 250])
+    def test_clock_stepping_k_ns_per_read_gives_a_floor_of_k(self, fake_clock, step):
+        clock = fake_clock(lambda k: k * step)
+        assert measure_floor() == {"median": step, "min": step, "max": step}
+        # two reads per timed call, and no read after the last one
+        assert clock.reads == 2 * 10**4
 
     def test_frozen_clock_raises_after_pairs_read_pairs(self, fake_clock):
         clock = fake_clock(lambda k: 5)
         with pytest.raises(
-            ClockUnavailable, match=r"^clock never advanced over 1000 read pairs$"
+            ClockUnavailable, match=r"^clock never advanced over 1000000 read pairs$"
         ):
-            measure_timer_resolution(pairs=1000)
-        # the first reading, then one per read pair
-        assert clock.reads == 1000 + 1
+            measure_floor()
+        # the timed calls, then a first reading and one per read pair
+        assert clock.reads == 2 * 10**4 + 10**6 + 1
+
+    def test_coarse_clock_reads_zero_and_does_not_raise(self, fake_clock):
+        # every tick falls between two timed calls, so each sample is 0
+        clock = fake_clock(lambda k: k // 40 * 250)
+        assert measure_floor() == {"median": 0, "min": 0, "max": 0}
+        # then the clock is read on until it advances, at the first tick
+        assert clock.reads == 2 * 10**4 + 41
+
+    def test_real_clock_gives_a_positive_finite_floor(self):
+        floor = measure_floor()
+        assert 0.0 < floor["min"] <= floor["median"] <= floor["max"]
+        assert math.isfinite(floor["max"])
 
 
 #: /proc/cpuinfo of a two-core arm64 Linux host: no line names the model
@@ -394,7 +392,8 @@ class TestProbeEnvironment:
         assert env.cpu_model
         assert env.os_descriptor
         assert env.memory_bytes >= 0
-        assert env.timer_resolution_ns > 0.0
+        assert sorted(env.loop_floor_ns) == ["max", "median", "min"]
+        assert env.loop_floor_ns["median"] > 0.0
 
     def test_identity_fields_stable(self):
         first = probe_environment()

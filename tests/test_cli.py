@@ -250,7 +250,9 @@ _GOLDEN_REPLAY_DIGESTS = {
 }
 
 #: the host a measuring golden run records
-_GOLDEN_HOST = EnvironmentInfo("golden host", 1 << 30, "golden-os", 100.0)
+_GOLDEN_HOST = EnvironmentInfo(
+    "golden host", 1 << 30, "golden-os", {"median": 90.0, "min": 85.5, "max": 104.0}
+)
 
 #: SHA-256 of each file a stub run of every variant writes with --runs 20
 #: --warm-up 2 --runs-simulator 20 --seed 5, when clock read k returns
@@ -294,7 +296,7 @@ _GOLDEN_MEASURED_MANIFEST = {
         "cpu_model": "golden host",
         "memory_bytes": 1 << 30,
         "os_descriptor": "golden-os",
-        "timer_resolution_ns": 100.0,
+        "loop_floor_ns": {"median": 90.0, "min": 85.5, "max": 104.0},
     },
     "outputs": [
         "benchmark.csv",
@@ -395,7 +397,7 @@ class TestRunPipeline:
         assert "benchmark.csv" in manifest["outputs"]
         assert "simulation.csv" in manifest["outputs"]
         assert manifest["environment"]["cpu_model"]
-        assert manifest["environment"]["timer_resolution_ns"] > 0
+        assert manifest["environment"]["loop_floor_ns"]["median"] > 0
 
     def test_manifest_records_are_json_objects(self, tmp_path, stub_provider):
         # a named tuple handed to json.dumps as itself would become a list
@@ -403,7 +405,7 @@ class TestRunPipeline:
         run_pipeline(config)
         manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
         assert sorted(manifest["environment"]) == [
-            "cpu_model", "memory_bytes", "os_descriptor", "timer_resolution_ns"
+            "cpu_model", "loop_floor_ns", "memory_bytes", "os_descriptor"
         ]
         assert list(manifest["config"]) == sorted([
             "runs", "warmup", "levels", "runs_simulator", "models", "seed", "output_dir",
@@ -484,7 +486,7 @@ class TestRunPipeline:
         lines = [record.getMessage() for record in caplog.records if record.name == "chainsig.cli"]
         seconds = r"\d+\.\d\d s"
         patterns = [
-            rf"host: .+, timer resolution \d+ ns, probed in {seconds}",
+            rf"host: .+, loop floor \d+ ns, probed in {seconds}",
             rf"ML-DSA-44 \(1/2\) measured in {seconds}",
             rf"Dilithium2 \(2/2\) measured in {seconds}",
             rf"benchmark: 2 of 2 variants measured in {seconds}",
@@ -843,7 +845,7 @@ class TestRunPipeline:
     def test_each_measured_variant_gets_its_three_rows(self, tmp_path, stub_provider, monkeypatch):
         # each operation of each variant gets a statistic of its own, so a
         # row that carries another operation's or another variant's shows
-        host = EnvironmentInfo("fake host", 1 << 30, "os", 20.0)
+        host = EnvironmentInfo("fake host", 1 << 30, "os", {"median": 20.0, "min": 20.0, "max": 20.0})
         monkeypatch.setattr(cli, "probe_environment", lambda: host)
         measure = cli.benchmark_variant
         measured = {}

@@ -18,7 +18,7 @@ ROW = ReportRow("host", "ECDSA", "P-256", 1, Stage.BENCHMARK, None, Operation.VE
 RECORDS = [
     STAT,
     RunPlan(),
-    EnvironmentInfo("cpu", 1 << 30, "Linux", 20.0),
+    EnvironmentInfo("cpu", 1 << 30, "Linux", {"median": 20.0, "min": 19.5, "max": 21.0}),
     BenchmarkRecord(STAT, STAT, STAT),
     CliConfig(),
     SimulationConfig(ChainModel.BITCOIN),
