@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from ..errors import BackendFailure, UnsupportedVariant
@@ -22,42 +22,135 @@ _CURVES = {
     "P-521": ("SECP521R1", "SHA512"),
 }
 
-# keys cross the SchemeBackend boundary as DER bytes; parsing them back
-# on every call would dominate the timings, so recently seen keys keep
-# their deserialized form here
+
+class _Template(NamedTuple):
+    """A curve's DER key encodings, each of one fixed length.
+
+    A public key is a SubjectPublicKeyInfo (RFC 5480): `spki` + 04‖X‖Y.
+    A secret key is PKCS#8 around an ECPrivateKey (RFC 5915):
+    `pkcs8` + the scalar + `middle` + 04‖X‖Y. The scalar and each
+    coordinate take `size` bytes, big-endian. These are the bytes
+    OpenSSL's DER encoder writes for the same key.
+    """
+
+    curve: ec.EllipticCurve
+    order: int
+    size: int
+    spki: bytes
+    pkcs8: bytes
+    middle: bytes
+
+    def encode(self, numbers: ec.EllipticCurvePrivateNumbers) -> tuple[bytes, bytes]:
+        """The (public, secret) DER keys of numbers."""
+        public = numbers.public_numbers
+        point = b"\x04" + public.x.to_bytes(self.size, "big") + public.y.to_bytes(self.size, "big")
+        scalar = numbers.private_value.to_bytes(self.size, "big")
+        return self.spki + point, self.pkcs8 + scalar + self.middle + point
+
+
+_TEMPLATES = {
+    "SECP256R1": _Template(
+        curve=ec.SECP256R1(),
+        order=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
+        size=32,
+        spki=bytes.fromhex("3059 3013 06072a8648ce3d0201 06082a8648ce3d030107 034200"),
+        pkcs8=bytes.fromhex(
+            "308187 020100 3013 06072a8648ce3d0201 06082a8648ce3d030107 046d 306b 020101 0420"
+        ),
+        middle=bytes.fromhex("a144 034200"),
+    ),
+    "SECP384R1": _Template(
+        curve=ec.SECP384R1(),
+        order=int(
+            "ffffffffffffffffffffffffffffffffffffffffffffffff"
+            "c7634d81f4372ddf581a0db248b0a77aecec196accc52973",
+            16,
+        ),
+        size=48,
+        spki=bytes.fromhex("3076 3010 06072a8648ce3d0201 06052b81040022 036200"),
+        pkcs8=bytes.fromhex(
+            "3081b6 020100 3010 06072a8648ce3d0201 06052b81040022 04819e 30819b 020101 0430"
+        ),
+        middle=bytes.fromhex("a164 036200"),
+    ),
+    "SECP521R1": _Template(
+        curve=ec.SECP521R1(),
+        order=int(
+            "01ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+            "fa51868783bf2f966b7fcc0148f709a5d03bb5c9b8899c47aebb6fb71e91386409",
+            16,
+        ),
+        size=66,
+        spki=bytes.fromhex("30819b 3010 06072a8648ce3d0201 06052b81040023 03818600"),
+        pkcs8=bytes.fromhex(
+            "3081ee 020100 3010 06072a8648ce3d0201 06052b81040023 0481d6 3081d3 020101 0442"
+        ),
+        middle=bytes.fromhex("a18189 03818600"),
+    ),
+}
+
+# each curve's keys have their own lengths, so a key's length names the
+# only template it can fit
+_BY_PUBLIC_LENGTH = {len(t.spki) + 1 + 2 * t.size: t for t in _TEMPLATES.values()}
+_BY_SECRET_LENGTH = {
+    len(t.pkcs8) + t.size + len(t.middle) + 1 + 2 * t.size: t for t in _TEMPLATES.values()
+}
+
+
+def _malformed(kind: str, reason: object) -> BackendFailure:
+    return BackendFailure(f"malformed ECDSA {kind} key: {reason}")
+
+
+# Keys cross the SchemeBackend boundary as DER bytes. A loader parses
+# them against the template their length names, never through
+# `cryptography`'s serialization package, and keeps the parsed form of
+# recently seen keys, since parsing on every call would dominate the
+# timings. A refused key raises and is not kept.
 @functools.lru_cache(maxsize=8)
 def _private_key(der: bytes) -> "ec.EllipticCurvePrivateKey":
+    template = _BY_SECRET_LENGTH.get(len(der))
+    if template is None:
+        raise _malformed("secret", f"no curve's PKCS#8 key is {len(der)} bytes")
+    start = len(template.pkcs8)
+    end = start + template.size
+    x = end + len(template.middle) + 1
+    y = x + template.size
+    if not der.startswith(template.pkcs8) or der[end:x] != template.middle + b"\x04":
+        raise _malformed("secret", f"not a {template.curve.name} PKCS#8 key")
+    scalar = int.from_bytes(der[start:end], "big")
+    if not 0 < scalar < template.order:
+        raise _malformed("secret", "scalar out of range")
+    public = ec.EllipticCurvePublicNumbers(
+        int.from_bytes(der[x:y], "big"), int.from_bytes(der[y:], "big"), template.curve
+    )
     try:
-        return serialization.load_der_private_key(der, password=None)
-    except Exception as exc:
-        raise BackendFailure(f"malformed ECDSA secret key: {exc}") from exc
+        return ec.EllipticCurvePrivateNumbers(scalar, public).private_key()
+    except ValueError as exc:
+        raise _malformed("secret", exc) from exc
 
 
 @functools.lru_cache(maxsize=8)
 def _public_key(der: bytes) -> "ec.EllipticCurvePublicKey":
+    template = _BY_PUBLIC_LENGTH.get(len(der))
+    if template is None:
+        raise _malformed("public", f"no curve's SPKI key is {len(der)} bytes")
+    if not der.startswith(template.spki):
+        raise _malformed("public", f"not a {template.curve.name} SPKI key")
+    point = der[len(template.spki) :]
     try:
-        return serialization.load_der_public_key(der)
-    except Exception as exc:
-        raise BackendFailure(f"malformed ECDSA public key: {exc}") from exc
+        return ec.EllipticCurvePublicKey.from_encoded_point(template.curve, point)
+    except ValueError as exc:
+        raise _malformed("public", exc) from exc
 
 
 class EcdsaBackend(SchemeBackend):
     def __init__(self, curve_name: str, hash_name: str) -> None:
-        self._curve = getattr(ec, curve_name)()
+        self._template = _TEMPLATES[curve_name]
         self._algo = ec.ECDSA(getattr(hashes, hash_name)())
 
     def keypair(self) -> tuple[bytes, bytes]:
-        key = ec.generate_private_key(self._curve)
-        secret = key.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
-        public = key.public_key().public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
-        return public, secret
+        key = ec.generate_private_key(self._template.curve)
+        return self._template.encode(key.private_numbers())
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
         return _private_key(secret_key).sign(message, self._algo)

@@ -4,7 +4,9 @@ Backends load when a variant asks for one. No chainsig run loads numpy,
 not even one that simulates, and none but the liboqs binding's loads
 ctypes. Records are named tuples and the manifest's timestamp comes from
 `time`, so chainsig loads neither `dataclasses` (and with it `inspect`)
-nor `datetime`; only `cryptography`, in an ECDSA run, loads the first.
+nor `datetime`. An ECDSA run loads neither either: it builds and parses
+DER keys itself, so it never loads `cryptography`'s serialization
+package, whose SSH support imports `dataclasses` and `inspect`.
 Neither a replay nor a stub run loads `hashlib`, which maps the system
 libcrypto: a replay hashes its CSV with `_sha2` or `_sha256`, and the
 stub tags with `_blake2`. On glibc the probe builds its host text from
@@ -41,9 +43,12 @@ UNUSED_BY_REPLAY = (
     *NUMPY_AND_CTYPES,
 )
 
-#: imported by no chainsig module; an ECDSA run still loads the first two
-#: through `cryptography`
+#: imported by no chainsig module, nor by the parts of `cryptography`
+#: an ECDSA run uses
 HEAVY_STDLIB = ("dataclasses", "inspect", "datetime")
+
+#: what `cryptography.hazmat.primitives.serialization` would load
+SERIALIZATION = ("cryptography.hazmat.primitives.serialization", "dataclasses", "inspect")
 
 #: hashlib loads _hashlib, which maps the system libcrypto
 HASHLIB = ("hashlib", "_hashlib")
@@ -133,7 +138,17 @@ def test_instantiate_loads_the_backend_it_uses(tmp_path):
         "from chainsig.schemes import by_variant, instantiate\n"
         "instantiate(by_variant()['P-256'])"
     )
-    assert _loaded_after(code, tmp_path) == {"cryptography", "chainsig.schemes.ecdsa"}
+    watched = (*UNUSED_BY_REPLAY, *SERIALIZATION)
+    assert _loaded_after(code, tmp_path, watched) == {"cryptography", "chainsig.schemes.ecdsa"}
+
+
+def test_ecdsa_run_loads_no_serialization(tmp_path):
+    # P-256 measured, signed and verified live, then simulated
+    pytest.importorskip("cryptography")
+    args = ["--families", "ECDSA", *LIVE_ARGS[LIVE_ARGS.index("--levels") :]]
+    code = f"from chainsig.cli import main\nassert main({args!r}) == 0"
+    assert _loaded_after(code, tmp_path, SERIALIZATION) == set()
+    assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
 def test_run_without_simulation_never_loads_numpy(tmp_path):

@@ -13,6 +13,8 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from chainsig.bench import RunPlan, benchmark_variant
 from chainsig.errors import BackendFailure, UnsupportedVariant
@@ -20,6 +22,7 @@ from chainsig.schemes import (
     VariantDescriptor,
     by_variant,
     catalog,
+    ecdsa,
     get_provider,
     instantiate,
     oqs,
@@ -395,29 +398,39 @@ class TestEcdsaEdgeCases:
         assert p384.verify(pk, b"m", sig) is False
 
 
+#: the P-256 point 04‖X‖Y, which ends both DER keys of a keypair
+P256_POINT = 65
+
+
+def _point(numbers: ec.EllipticCurvePublicNumbers) -> bytes:
+    size = (numbers.curve.key_size + 7) // 8
+    return b"\x04" + numbers.x.to_bytes(size, "big") + numbers.y.to_bytes(size, "big")
+
+
 class TestEcdsaKeyParsing:
     """What an ECDSA row times: each key is parsed on its first call only,
     from a bounded cache that never keeps a failure."""
 
     @pytest.fixture
     def parses(self, monkeypatch) -> Counter:
-        # (loader name, key bytes) -> calls; keypairs are fresh in each
-        # test, so no earlier test's cached key counts
-        from cryptography.hazmat.primitives import serialization
-
+        # (parse call, the key's point) -> calls; keypairs are fresh in
+        # each test, so no earlier test's cached key counts
         counts: Counter = Counter()
+        from_encoded_point = ec.EllipticCurvePublicKey.from_encoded_point
+        private_key = ec.EllipticCurvePrivateNumbers.private_key
 
-        def counting(name):
-            real = getattr(serialization, name)
+        def parse_public(curve, data):
+            counts["from_encoded_point", bytes(data)] += 1
+            return from_encoded_point(curve, data)
 
-            def load(data, *args, **kwargs):
-                counts[name, bytes(data)] += 1
-                return real(data, *args, **kwargs)
+        def parse_secret(numbers, *args, **kwargs):
+            counts["private_key", _point(numbers.public_numbers)] += 1
+            return private_key(numbers, *args, **kwargs)
 
-            return load
-
-        for name in ("load_der_public_key", "load_der_private_key"):
-            monkeypatch.setattr(serialization, name, counting(name))
+        monkeypatch.setattr(
+            ec.EllipticCurvePublicKey, "from_encoded_point", staticmethod(parse_public)
+        )
+        monkeypatch.setattr(ec.EllipticCurvePrivateNumbers, "private_key", parse_secret)
         return counts
 
     def test_each_key_is_parsed_once(self, parses):
@@ -425,19 +438,22 @@ class TestEcdsaKeyParsing:
         pk, sk = instance.keypair()
         for _ in range(5):
             assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
-        assert parses["load_der_private_key", sk] == 1
-        assert parses["load_der_public_key", pk] == 1
+        assert parses["private_key", sk[-P256_POINT:]] == 1
+        assert parses["from_encoded_point", pk[-P256_POINT:]] == 1
 
     def test_malformed_key_is_not_cached(self, parses):
         instance = instantiate_or_skip("P-256")
-        bad = b"not a der key"
+        pk, sk = instance.keypair()
+        # a point off the curve fits the template, so each call parses it
+        bad_pk, bad_sk = flip_last_byte(pk), flip_last_byte(sk)
+        bad = bad_pk[-P256_POINT:]
         for _ in range(3):
             with pytest.raises(BackendFailure, match="^malformed ECDSA public key: "):
-                instance.verify(bad, b"m", b"sig")
+                instance.verify(bad_pk, b"m", b"sig")
             with pytest.raises(BackendFailure, match="^malformed ECDSA secret key: "):
-                instance.sign(bad, b"m")
-        assert parses["load_der_public_key", bad] == 3
-        assert parses["load_der_private_key", bad] == 3
+                instance.sign(bad_sk, b"m")
+        assert parses["from_encoded_point", bad] == 3
+        assert parses["private_key", bad] == 3
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
 
@@ -452,8 +468,136 @@ class TestEcdsaKeyParsing:
             assert instance.verify(other_pk, b"m", sig) is False
         instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig) is True
-        assert parses["load_der_private_key", sk] == 2
-        assert parses["load_der_public_key", pk] == 2
+        assert parses["private_key", sk[-P256_POINT:]] == 2
+        assert parses["from_encoded_point", pk[-P256_POINT:]] == 2
+
+
+def flip_last_byte(blob: bytes) -> bytes:
+    return blob[:-1] + bytes([blob[-1] ^ 0x01])
+
+
+def _openssl_der(key: ec.EllipticCurvePrivateKey) -> tuple[bytes, bytes]:
+    """(public, secret) as OpenSSL's DER encoder writes them."""
+    public = key.public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    secret = key.private_bytes(
+        serialization.Encoding.DER,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+    return public, secret
+
+
+ECDSA_CURVES = sorted(ecdsa._TEMPLATES)
+
+
+@pytest.mark.parametrize("curve_name", ECDSA_CURVES)
+class TestEcdsaKeyEncoding:
+    """The keys an ECDSA backend hands out are the bytes OpenSSL's
+    encoder writes, and its loaders read back what OpenSSL's read."""
+
+    def test_order_is_the_curves(self, curve_name):
+        template = ecdsa._TEMPLATES[curve_name]
+        if not hasattr(template.curve, "group_order"):
+            pytest.skip("this cryptography names no group order")
+        assert template.order == template.curve.group_order
+
+    @pytest.mark.parametrize("scalar", ["1", "2", "order-1", "top-byte-0"])
+    def test_fixed_scalars(self, curve_name, scalar):
+        template = ecdsa._TEMPLATES[curve_name]
+        d = {
+            "1": 1,
+            "2": 2,
+            "order-1": template.order - 1,
+            "top-byte-0": 2 ** (8 * template.size - 8) - 1,
+        }[scalar]
+        key = ec.derive_private_key(d, template.curve)
+        public, secret = template.encode(key.private_numbers())
+        assert (public, secret) == _openssl_der(key)
+        self._assert_round_trips(public, secret)
+
+    def test_fresh_keys(self, curve_name):
+        backend = EcdsaBackend(curve_name, "SHA256")
+        for _ in range(100):
+            public, secret = backend.keypair()
+            key = serialization.load_der_private_key(secret, password=None)
+            assert (public, secret) == _openssl_der(key)
+            self._assert_round_trips(public, secret)
+
+    @staticmethod
+    def _assert_round_trips(public: bytes, secret: bytes) -> None:
+        loaded = serialization.load_der_private_key(secret, password=None)
+        assert ecdsa._private_key(secret).private_numbers() == loaded.private_numbers()
+        assert (
+            ecdsa._public_key(public).public_numbers()
+            == serialization.load_der_public_key(public).public_numbers()
+            == loaded.public_key().public_numbers()
+        )
+
+
+def _splice(blob: bytes, at: int, part: bytes) -> bytes:
+    return blob[:at] + part + blob[at + len(part) :]
+
+
+def _refused_public(template) -> dict[str, bytes]:
+    public, _ = _openssl_der(ec.derive_private_key(1, template.curve))
+    return {
+        "wrong-prefix": _splice(public, 3, bytes([public[3] ^ 0x01])),
+        "truncated": public[:-1],
+        "trailing-byte": public + b"\x00",
+        "compressed-tag": _splice(public, len(template.spki), b"\x02"),
+        "point-off-curve": flip_last_byte(public),
+    }
+
+
+def _refused_secret(template) -> dict[str, bytes]:
+    _, secret = _openssl_der(ec.derive_private_key(1, template.curve))
+    at = len(template.pkcs8)
+    middle = at + template.size
+
+    def scalar(d: int) -> bytes:
+        return _splice(secret, at, d.to_bytes(template.size, "big"))
+
+    return {
+        "wrong-prefix": _splice(secret, 3, bytes([secret[3] ^ 0x01])),
+        "truncated": secret[:-1],
+        "trailing-byte": secret + b"\x00",
+        "wrong-middle": _splice(secret, middle, bytes([secret[middle] ^ 0x01])),
+        "point-off-curve": flip_last_byte(secret),
+        "scalar-0": scalar(0),
+        "scalar-order": scalar(template.order),
+        # order + 1 acts as 1, whose point this is: only the range check refuses it
+        "scalar-order+1": scalar(template.order + 1),
+        "scalar-all-ones": scalar(2 ** (8 * template.size) - 1),
+        "scalar-of-another-point": scalar(2),
+    }
+
+
+REFUSALS = [
+    pytest.param(curve, kind, refused, id=f"{curve}-{kind}-{case}")
+    for curve in ECDSA_CURVES
+    for kind, cases in (
+        ("public", _refused_public(ecdsa._TEMPLATES[curve])),
+        ("secret", _refused_secret(ecdsa._TEMPLATES[curve])),
+    )
+    for case, refused in cases.items()
+]
+
+
+@pytest.mark.parametrize(("curve_name", "kind", "refused"), REFUSALS)
+def test_ecdsa_refuses_malformed_key_without_caching_it(curve_name, kind, refused):
+    backend = EcdsaBackend(curve_name, "SHA256")
+    loader = ecdsa._public_key if kind == "public" else ecdsa._private_key
+    hits = loader.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(BackendFailure, match=f"^malformed ECDSA {kind} key: ") as caught:
+            if kind == "public":
+                backend.verify(refused, b"m", b"sig")
+            else:
+                backend.sign(refused, b"m")
+        assert "\n" not in str(caught.value)
+    assert loader.cache_info().hits == hits
 
 
 def _oqs_backend_or_skip(variant_name: str):
