@@ -445,7 +445,7 @@ class TestEcdsaKeyParsing:
         instance = instantiate_or_skip("P-256")
         pk, sk = instance.keypair()
         # a point off the curve fits the template, so each call parses it
-        bad_pk, bad_sk = flip_last_byte(pk), flip_last_byte(sk)
+        bad_pk, bad_sk = _flip_last_byte(pk), _flip_last_byte(sk)
         bad = bad_pk[-P256_POINT:]
         for _ in range(3):
             with pytest.raises(BackendFailure, match="^malformed ECDSA public key: "):
@@ -472,7 +472,7 @@ class TestEcdsaKeyParsing:
         assert parses["from_encoded_point", pk[-P256_POINT:]] == 2
 
 
-def flip_last_byte(blob: bytes) -> bytes:
+def _flip_last_byte(blob: bytes) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
 
@@ -547,7 +547,7 @@ def _refused_public(template) -> dict[str, bytes]:
         "truncated": public[:-1],
         "trailing-byte": public + b"\x00",
         "compressed-tag": _splice(public, len(template.spki), b"\x02"),
-        "point-off-curve": flip_last_byte(public),
+        "point-off-curve": _flip_last_byte(public),
     }
 
 
@@ -564,7 +564,7 @@ def _refused_secret(template) -> dict[str, bytes]:
         "truncated": secret[:-1],
         "trailing-byte": secret + b"\x00",
         "wrong-middle": _splice(secret, middle, bytes([secret[middle] ^ 0x01])),
-        "point-off-curve": flip_last_byte(secret),
+        "point-off-curve": _flip_last_byte(secret),
         "scalar-0": scalar(0),
         "scalar-order": scalar(template.order),
         # order + 1 acts as 1, whose point this is: only the range check refuses it
