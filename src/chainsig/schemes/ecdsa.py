@@ -24,28 +24,24 @@ _CURVES = {
 
 
 class _Template(NamedTuple):
-    """A curve's DER key encodings, each of one fixed length.
+    """A curve's key encodings, each of one fixed length.
 
-    A public key is a SubjectPublicKeyInfo (RFC 5480): `spki` + 04‖X‖Y.
-    A secret key is PKCS#8 around an ECPrivateKey (RFC 5915):
-    `pkcs8` + the scalar + `middle` + 04‖X‖Y. The scalar and each
-    coordinate take `size` bytes, big-endian. These are the bytes
-    OpenSSL's DER encoder writes for the same key.
+    A public key is a SubjectPublicKeyInfo (RFC 5480): `spki` + 04‖X‖Y,
+    the bytes OpenSSL's DER encoder writes for the same key. A secret
+    key is the private scalar alone (SEC 1 §2.3.7). The scalar and each
+    coordinate take `size` bytes, big-endian.
     """
 
     curve: ec.EllipticCurve
     order: int
     size: int
     spki: bytes
-    pkcs8: bytes
-    middle: bytes
 
     def encode(self, numbers: ec.EllipticCurvePrivateNumbers) -> tuple[bytes, bytes]:
-        """The (public, secret) DER keys of numbers."""
+        """The (public, secret) keys of numbers."""
         public = numbers.public_numbers
         point = b"\x04" + public.x.to_bytes(self.size, "big") + public.y.to_bytes(self.size, "big")
-        scalar = numbers.private_value.to_bytes(self.size, "big")
-        return self.spki + point, self.pkcs8 + scalar + self.middle + point
+        return self.spki + point, numbers.private_value.to_bytes(self.size, "big")
 
 
 _TEMPLATES = {
@@ -54,10 +50,6 @@ _TEMPLATES = {
         order=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
         size=32,
         spki=bytes.fromhex("3059 3013 06072a8648ce3d0201 06082a8648ce3d030107 034200"),
-        pkcs8=bytes.fromhex(
-            "308187 020100 3013 06072a8648ce3d0201 06082a8648ce3d030107 046d 306b 020101 0420"
-        ),
-        middle=bytes.fromhex("a144 034200"),
     ),
     "SECP384R1": _Template(
         curve=ec.SECP384R1(),
@@ -68,10 +60,6 @@ _TEMPLATES = {
         ),
         size=48,
         spki=bytes.fromhex("3076 3010 06072a8648ce3d0201 06052b81040022 036200"),
-        pkcs8=bytes.fromhex(
-            "3081b6 020100 3010 06072a8648ce3d0201 06052b81040022 04819e 30819b 020101 0430"
-        ),
-        middle=bytes.fromhex("a164 036200"),
     ),
     "SECP521R1": _Template(
         curve=ec.SECP521R1(),
@@ -82,51 +70,36 @@ _TEMPLATES = {
         ),
         size=66,
         spki=bytes.fromhex("30819b 3010 06072a8648ce3d0201 06052b81040023 03818600"),
-        pkcs8=bytes.fromhex(
-            "3081ee 020100 3010 06072a8648ce3d0201 06052b81040023 0481d6 3081d3 020101 0442"
-        ),
-        middle=bytes.fromhex("a18189 03818600"),
     ),
 }
 
 # each curve's keys have their own lengths, so a key's length names the
 # only template it can fit
 _BY_PUBLIC_LENGTH = {len(t.spki) + 1 + 2 * t.size: t for t in _TEMPLATES.values()}
-_BY_SECRET_LENGTH = {
-    len(t.pkcs8) + t.size + len(t.middle) + 1 + 2 * t.size: t for t in _TEMPLATES.values()
-}
+_BY_SECRET_LENGTH = {t.size: t for t in _TEMPLATES.values()}
 
 
 def _malformed(kind: str, reason: object) -> BackendFailure:
     return BackendFailure(f"malformed ECDSA {kind} key: {reason}")
 
 
-# Keys cross the SchemeBackend boundary as DER bytes. A loader parses
-# them against the template their length names, never through
-# `cryptography`'s serialization package, and keeps the parsed form of
-# recently seen keys, since parsing on every call would dominate the
-# timings. A refused key raises and is not kept.
+# Keys cross the SchemeBackend boundary as bytes: the public key as
+# DER, the secret key as the raw scalar. A loader parses them against
+# the template their length names, never through `cryptography`'s
+# serialization package, and keeps the parsed form of recently seen
+# keys, since parsing on every call would dominate the timings. A
+# refused key raises and is not kept.
 @functools.lru_cache(maxsize=8)
-def _private_key(der: bytes) -> "ec.EllipticCurvePrivateKey":
-    template = _BY_SECRET_LENGTH.get(len(der))
+def _private_key(scalar: bytes) -> "ec.EllipticCurvePrivateKey":
+    template = _BY_SECRET_LENGTH.get(len(scalar))
     if template is None:
-        raise _malformed("secret", f"no curve's PKCS#8 key is {len(der)} bytes")
-    start = len(template.pkcs8)
-    end = start + template.size
-    x = end + len(template.middle) + 1
-    y = x + template.size
-    if not der.startswith(template.pkcs8) or der[end:x] != template.middle + b"\x04":
-        raise _malformed("secret", f"not a {template.curve.name} PKCS#8 key")
-    scalar = int.from_bytes(der[start:end], "big")
-    if not 0 < scalar < template.order:
+        raise _malformed("secret", f"no curve's scalar is {len(scalar)} bytes")
+    d = int.from_bytes(scalar, "big")
+    # checked here, not left to OpenSSL, so that every release this
+    # package allows refuses the same scalars
+    if not 0 < d < template.order:
         raise _malformed("secret", "scalar out of range")
-    public = ec.EllipticCurvePublicNumbers(
-        int.from_bytes(der[x:y], "big"), int.from_bytes(der[y:], "big"), template.curve
-    )
-    try:
-        return ec.EllipticCurvePrivateNumbers(scalar, public).private_key()
-    except ValueError as exc:
-        raise _malformed("secret", exc) from exc
+    return ec.derive_private_key(d, template.curve)
 
 
 @functools.lru_cache(maxsize=8)

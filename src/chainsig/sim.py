@@ -193,11 +193,13 @@ def simulate_batch(config: SimulationConfig, verify_stat: StatSummary) -> StatSu
     cost is max(mean + std * z, 0). A run whose smallest z keeps that cost
     non-negative costs (mean * sum tx + std * sum tx*z) / blocks without a
     pass over its blocks; any other run sums its blocks one by one. That
-    test reads only the smallest z, so a negative std is refused.
+    test reads only the smallest z, so a negative std is refused, and so
+    is a mean or std that is not a finite time.
     """
     mean, std = verify_stat.mean_ms, verify_stat.std_ms
-    if not std >= 0.0:
-        raise ValueError(f"verify std_ms must be >= 0, got {std!r}")
+    for name, value in (("mean_ms", mean), ("std_ms", std)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"verify {name} must be finite and >= 0, got {value!r}")
     blocks = config.blocks_per_run
     draws = _draws(config)
     run_means = []

@@ -398,13 +398,12 @@ class TestEcdsaEdgeCases:
         assert p384.verify(pk, b"m", sig) is False
 
 
-#: the P-256 point 04‖X‖Y, which ends both DER keys of a keypair
+#: the P-256 point 04‖X‖Y, which ends a DER public key
 P256_POINT = 65
 
 
-def _point(numbers: ec.EllipticCurvePublicNumbers) -> bytes:
-    size = (numbers.curve.key_size + 7) // 8
-    return b"\x04" + numbers.x.to_bytes(size, "big") + numbers.y.to_bytes(size, "big")
+def _scalar(secret: bytes) -> int:
+    return int.from_bytes(secret, "big")
 
 
 class TestEcdsaKeyParsing:
@@ -413,24 +412,24 @@ class TestEcdsaKeyParsing:
 
     @pytest.fixture
     def parses(self, monkeypatch) -> Counter:
-        # (parse call, the key's point) -> calls; keypairs are fresh in
-        # each test, so no earlier test's cached key counts
+        # (parse call, the key's point or scalar) -> calls; keypairs are
+        # fresh in each test, so no earlier test's cached key counts
         counts: Counter = Counter()
         from_encoded_point = ec.EllipticCurvePublicKey.from_encoded_point
-        private_key = ec.EllipticCurvePrivateNumbers.private_key
+        derive_private_key = ec.derive_private_key
 
         def parse_public(curve, data):
             counts["from_encoded_point", bytes(data)] += 1
             return from_encoded_point(curve, data)
 
-        def parse_secret(numbers, *args, **kwargs):
-            counts["private_key", _point(numbers.public_numbers)] += 1
-            return private_key(numbers, *args, **kwargs)
+        def parse_secret(private_value, curve, *args, **kwargs):
+            counts["derive_private_key", private_value] += 1
+            return derive_private_key(private_value, curve, *args, **kwargs)
 
         monkeypatch.setattr(
             ec.EllipticCurvePublicKey, "from_encoded_point", staticmethod(parse_public)
         )
-        monkeypatch.setattr(ec.EllipticCurvePrivateNumbers, "private_key", parse_secret)
+        monkeypatch.setattr(ec, "derive_private_key", parse_secret)
         return counts
 
     def test_each_key_is_parsed_once(self, parses):
@@ -438,22 +437,26 @@ class TestEcdsaKeyParsing:
         pk, sk = instance.keypair()
         for _ in range(5):
             assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
-        assert parses["private_key", sk[-P256_POINT:]] == 1
+        assert parses["derive_private_key", _scalar(sk)] == 1
         assert parses["from_encoded_point", pk[-P256_POINT:]] == 1
 
     def test_malformed_key_is_not_cached(self, parses):
         instance = instantiate_or_skip("P-256")
-        pk, sk = instance.keypair()
-        # a point off the curve fits the template, so each call parses it
-        bad_pk, bad_sk = _flip_last_byte(pk), _flip_last_byte(sk)
+        pk, _ = instance.keypair()
+        # a point off the curve fits the template, so each call parses it;
+        # an out-of-range scalar is refused before it reaches OpenSSL, so
+        # the loader's misses count its calls
+        bad_pk = _flip_last_byte(pk)
+        bad_sk = ecdsa._TEMPLATES["SECP256R1"].order.to_bytes(32, "big")
         bad = bad_pk[-P256_POINT:]
+        misses = ecdsa._private_key.cache_info().misses
         for _ in range(3):
             with pytest.raises(BackendFailure, match="^malformed ECDSA public key: "):
                 instance.verify(bad_pk, b"m", b"sig")
             with pytest.raises(BackendFailure, match="^malformed ECDSA secret key: "):
                 instance.sign(bad_sk, b"m")
         assert parses["from_encoded_point", bad] == 3
-        assert parses["private_key", bad] == 3
+        assert ecdsa._private_key.cache_info().misses - misses == 3
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
 
@@ -468,7 +471,7 @@ class TestEcdsaKeyParsing:
             assert instance.verify(other_pk, b"m", sig) is False
         instance.sign(sk, b"m")
         assert instance.verify(pk, b"m", sig) is True
-        assert parses["private_key", sk[-P256_POINT:]] == 2
+        assert parses["derive_private_key", _scalar(sk)] == 2
         assert parses["from_encoded_point", pk[-P256_POINT:]] == 2
 
 
@@ -476,32 +479,42 @@ def _flip_last_byte(blob: bytes) -> bytes:
     return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
 
-def _openssl_der(key: ec.EllipticCurvePrivateKey) -> tuple[bytes, bytes]:
-    """(public, secret) as OpenSSL's DER encoder writes them."""
-    public = key.public_key().public_bytes(
+def _openssl_spki(key: ec.EllipticCurvePrivateKey) -> bytes:
+    """The public key as OpenSSL's DER encoder writes it."""
+    return key.public_key().public_bytes(
         serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
     )
-    secret = key.private_bytes(
-        serialization.Encoding.DER,
-        serialization.PrivateFormat.PKCS8,
-        serialization.NoEncryption(),
-    )
-    return public, secret
 
 
 ECDSA_CURVES = sorted(ecdsa._TEMPLATES)
 
 
+def _keys(template, d: int) -> tuple[bytes, bytes]:
+    return template.encode(ec.derive_private_key(d, template.curve).private_numbers())
+
+
 @pytest.mark.parametrize("curve_name", ECDSA_CURVES)
 class TestEcdsaKeyEncoding:
-    """The keys an ECDSA backend hands out are the bytes OpenSSL's
-    encoder writes, and its loaders read back what OpenSSL's read."""
+    """The public key an ECDSA backend hands out is the bytes OpenSSL's
+    encoder writes, the secret key is the scalar, and the loaders read
+    back the key both came from."""
 
     def test_order_is_the_curves(self, curve_name):
         template = ecdsa._TEMPLATES[curve_name]
         if not hasattr(template.curve, "group_order"):
             pytest.skip("this cryptography names no group order")
         assert template.order == template.curve.group_order
+
+    def test_key_lengths_are_this_curves_alone(self, curve_name):
+        # a key's length is all that picks its template
+        public, secret = _keys(ecdsa._TEMPLATES[curve_name], 1)
+        for name, other in ecdsa._TEMPLATES.items():
+            if name != curve_name:
+                other_public, other_secret = _keys(other, 1)
+                assert len(public) != len(other_public)
+                assert len(secret) != len(other_secret)
+        assert ecdsa._BY_PUBLIC_LENGTH[len(public)] is ecdsa._TEMPLATES[curve_name]
+        assert ecdsa._BY_SECRET_LENGTH[len(secret)] is ecdsa._TEMPLATES[curve_name]
 
     @pytest.mark.parametrize("scalar", ["1", "2", "order-1", "top-byte-0"])
     def test_fixed_scalars(self, curve_name, scalar):
@@ -514,25 +527,28 @@ class TestEcdsaKeyEncoding:
         }[scalar]
         key = ec.derive_private_key(d, template.curve)
         public, secret = template.encode(key.private_numbers())
-        assert (public, secret) == _openssl_der(key)
-        self._assert_round_trips(public, secret)
+        self._assert_keys_of(key, public, secret)
 
     def test_fresh_keys(self, curve_name):
+        template = ecdsa._TEMPLATES[curve_name]
         backend = EcdsaBackend(curve_name, "SHA256")
         for _ in range(100):
             public, secret = backend.keypair()
-            key = serialization.load_der_private_key(secret, password=None)
-            assert (public, secret) == _openssl_der(key)
-            self._assert_round_trips(public, secret)
+            assert len(secret) == template.size
+            key = ec.derive_private_key(_scalar(secret), template.curve)
+            self._assert_keys_of(key, public, secret)
 
     @staticmethod
-    def _assert_round_trips(public: bytes, secret: bytes) -> None:
-        loaded = serialization.load_der_private_key(secret, password=None)
-        assert ecdsa._private_key(secret).private_numbers() == loaded.private_numbers()
+    def _assert_keys_of(key: ec.EllipticCurvePrivateKey, public: bytes, secret: bytes) -> None:
+        numbers = key.private_numbers()
+        size = (key.curve.key_size + 7) // 8
+        assert public == _openssl_spki(key)
+        assert secret == numbers.private_value.to_bytes(size, "big")
+        assert ecdsa._private_key(secret).private_numbers() == numbers
         assert (
             ecdsa._public_key(public).public_numbers()
             == serialization.load_der_public_key(public).public_numbers()
-            == loaded.public_key().public_numbers()
+            == numbers.public_numbers
         )
 
 
@@ -541,7 +557,7 @@ def _splice(blob: bytes, at: int, part: bytes) -> bytes:
 
 
 def _refused_public(template) -> dict[str, bytes]:
-    public, _ = _openssl_der(ec.derive_private_key(1, template.curve))
+    public = _openssl_spki(ec.derive_private_key(1, template.curve))
     return {
         "wrong-prefix": _splice(public, 3, bytes([public[3] ^ 0x01])),
         "truncated": public[:-1],
@@ -552,25 +568,18 @@ def _refused_public(template) -> dict[str, bytes]:
 
 
 def _refused_secret(template) -> dict[str, bytes]:
-    _, secret = _openssl_der(ec.derive_private_key(1, template.curve))
-    at = len(template.pkcs8)
-    middle = at + template.size
-
     def scalar(d: int) -> bytes:
-        return _splice(secret, at, d.to_bytes(template.size, "big"))
+        return d.to_bytes(template.size, "big")
 
     return {
-        "wrong-prefix": _splice(secret, 3, bytes([secret[3] ^ 0x01])),
-        "truncated": secret[:-1],
-        "trailing-byte": secret + b"\x00",
-        "wrong-middle": _splice(secret, middle, bytes([secret[middle] ^ 0x01])),
-        "point-off-curve": _flip_last_byte(secret),
+        "truncated": scalar(1)[:-1],
+        "trailing-byte": scalar(1) + b"\x00",
         "scalar-0": scalar(0),
         "scalar-order": scalar(template.order),
-        # order + 1 acts as 1, whose point this is: only the range check refuses it
+        # order + 1 acts as 1 where a loader reduces it: only the range
+        # check is sure to refuse it
         "scalar-order+1": scalar(template.order + 1),
         "scalar-all-ones": scalar(2 ** (8 * template.size) - 1),
-        "scalar-of-another-point": scalar(2),
     }
 
 

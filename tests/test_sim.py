@@ -179,12 +179,23 @@ class TestSimulateBatch:
     def test_negative_seed_is_masked(self):
         assert simulate_batch(_config(runs=2, seed=-1), _stat(0.05)).n == 2
 
-    @pytest.mark.parametrize("std", [-0.02, math.nan])
-    def test_rejects_a_std_that_is_not_non_negative(self, std):
+    @pytest.mark.parametrize(
+        ("mean", "std", "field"),
+        [
+            pytest.param(0.01, -0.02, "std_ms", id="-0.02"),
+            pytest.param(0.01, math.nan, "std_ms", id="nan"),
+            pytest.param(0.01, math.inf, "std_ms", id="std-inf"),
+            pytest.param(-1.0, 0.01, "mean_ms", id="mean--1.0"),
+            pytest.param(math.nan, 0.01, "mean_ms", id="mean-nan"),
+            pytest.param(math.inf, 0.01, "mean_ms", id="mean-inf"),
+        ],
+    )
+    def test_rejects_a_std_that_is_not_non_negative(self, mean, std, field):
         # the per-run shortcut reads only the smallest z, which is the
-        # draw that clamps first only when std >= 0
-        with pytest.raises(ValueError, match="std_ms must be >= 0"):
-            simulate_batch(_config(runs=2), _stat(0.01, std))
+        # draw that clamps first only when std >= 0; a mean or std that
+        # is not a finite time has no block cost at all
+        with pytest.raises(ValueError, match=f"^verify {field} must be finite and >= 0, got "):
+            simulate_batch(_config(runs=2), _stat(mean, std))
 
     @pytest.mark.parametrize(
         "model,verify_mean,expected",
