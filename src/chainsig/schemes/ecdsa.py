@@ -73,11 +73,6 @@ _TEMPLATES = {
     ),
 }
 
-# each curve's keys have their own lengths, so a key's length names the
-# only template it can fit
-_BY_PUBLIC_LENGTH = {len(t.spki) + 1 + 2 * t.size: t for t in _TEMPLATES.values()}
-_BY_SECRET_LENGTH = {t.size: t for t in _TEMPLATES.values()}
-
 
 def _malformed(kind: str, reason: object) -> BackendFailure:
     return BackendFailure(f"malformed ECDSA {kind} key: {reason}")
@@ -85,15 +80,13 @@ def _malformed(kind: str, reason: object) -> BackendFailure:
 
 # Keys cross the SchemeBackend boundary as bytes: the public key as
 # DER, the secret key as the raw scalar. A loader parses them against
-# the template their length names, never through `cryptography`'s
-# serialization package, and keeps the parsed form of recently seen
-# keys, since parsing on every call would dominate the timings. A
-# refused key raises and is not kept.
-@functools.lru_cache(maxsize=8)
-def _private_key(scalar: bytes) -> "ec.EllipticCurvePrivateKey":
-    template = _BY_SECRET_LENGTH.get(len(scalar))
-    if template is None:
-        raise _malformed("secret", f"no curve's scalar is {len(scalar)} bytes")
+# one curve's template, never through `cryptography`'s serialization
+# package, so a key of another curve is refused. Each backend keeps the
+# parsed form of its recently seen keys, since parsing on every call
+# would dominate the timings. A refused key raises and is not kept.
+def _private_key(template: _Template, scalar: bytes) -> "ec.EllipticCurvePrivateKey":
+    if len(scalar) != template.size:
+        raise _malformed("secret", f"not a {template.curve.name} scalar ({len(scalar)} bytes)")
     d = int.from_bytes(scalar, "big")
     # checked here, not left to OpenSSL, so that every release this
     # package allows refuses the same scalars
@@ -102,14 +95,10 @@ def _private_key(scalar: bytes) -> "ec.EllipticCurvePrivateKey":
     return ec.derive_private_key(d, template.curve)
 
 
-@functools.lru_cache(maxsize=8)
-def _public_key(der: bytes) -> "ec.EllipticCurvePublicKey":
-    template = _BY_PUBLIC_LENGTH.get(len(der))
-    if template is None:
-        raise _malformed("public", f"no curve's SPKI key is {len(der)} bytes")
-    if not der.startswith(template.spki):
-        raise _malformed("public", f"not a {template.curve.name} SPKI key")
+def _public_key(template: _Template, der: bytes) -> "ec.EllipticCurvePublicKey":
     point = der[len(template.spki) :]
+    if len(point) != 1 + 2 * template.size or not der.startswith(template.spki):
+        raise _malformed("public", f"not a {template.curve.name} SPKI key ({len(der)} bytes)")
     try:
         return ec.EllipticCurvePublicKey.from_encoded_point(template.curve, point)
     except ValueError as exc:
@@ -118,18 +107,23 @@ def _public_key(der: bytes) -> "ec.EllipticCurvePublicKey":
 
 class EcdsaBackend(SchemeBackend):
     def __init__(self, curve_name: str, hash_name: str) -> None:
-        self._template = _TEMPLATES[curve_name]
+        self._template = template = _TEMPLATES[curve_name]
         self._algo = ec.ECDSA(getattr(hashes, hash_name)())
+        # this curve's loaders, each with its own cache: a hit is one
+        # C-level lookup keyed by the key bytes alone
+        cache = functools.lru_cache(maxsize=8)
+        self._private_key = cache(functools.partial(_private_key, template))
+        self._public_key = cache(functools.partial(_public_key, template))
 
     def keypair(self) -> tuple[bytes, bytes]:
         key = ec.generate_private_key(self._template.curve)
         return self._template.encode(key.private_numbers())
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return _private_key(secret_key).sign(message, self._algo)
+        return self._private_key(secret_key).sign(message, self._algo)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        key = _public_key(public_key)
+        key = self._public_key(public_key)
         try:
             key.verify(signature, message, self._algo)
             return True

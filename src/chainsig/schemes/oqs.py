@@ -82,34 +82,25 @@ _KNOWN_ABIS = ("0.12.", "0.16.")
 _MALLEABLE_CROSS_PREFIX = "0.12."
 
 
-class OqsLoadError(Exception):
-    """liboqs could not be located or has an incompatible ABI."""
-
-
 _LIBDIRS = ("lib", "lib64", "lib/x86_64-linux-gnu", "lib/aarch64-linux-gnu")
 _LIB_SUFFIX = ".dylib" if sys.platform == "darwin" else ".so"
+_PRIMARY_PREFIXES = ("/usr/local", "/opt/liboqs", "/opt/homebrew", "/usr")
 
 
-def _candidate_paths() -> Iterator[str]:
-    override = os.environ.get("CHAINSIG_LIBOQS")
+def _candidate_paths(
+    env_var: str, prefixes: tuple[str, ...], linker_search: bool
+) -> Iterator[str]:
+    """The path set in env_var alone, else the linker's find, then each prefix's libdirs."""
+    override = os.environ.get(env_var)
     if override:
         yield override
         return
-    found = ctypes.util.find_library("oqs")
+    found = linker_search and ctypes.util.find_library("oqs")
     if found:
         yield found
-    for prefix in ("/usr/local", "/opt/liboqs", "/opt/homebrew", "/usr"):
+    for prefix in prefixes:
         for libdir in _LIBDIRS:
             yield f"{prefix}/{libdir}/liboqs{_LIB_SUFFIX}"
-
-
-def _cross_candidate_paths() -> Iterator[str]:
-    override = os.environ.get("CHAINSIG_LIBOQS_CROSS")
-    if override:
-        yield override
-        return
-    for libdir in _LIBDIRS:
-        yield f"/opt/liboqs-cross/{libdir}/liboqs{_LIB_SUFFIX}"
 
 
 class _Library:
@@ -122,7 +113,7 @@ class _Library:
         version = cdll.OQS_version().decode()
         if not version.startswith(_KNOWN_ABIS):
             known = ", ".join(p + "x" for p in _KNOWN_ABIS)
-            raise OqsLoadError(
+            raise UnsupportedVariant(
                 f"{path} is liboqs {version}; this binding targets {known}"
             )
         sig_p = ctypes.POINTER(_SigStruct)
@@ -162,8 +153,8 @@ class _Library:
         self.version = version
 
 
-def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
-    """Load the first candidate that opens with a known ABI.
+def _load_library(env_var: str, prefixes: tuple[str, ...], linker_search: bool) -> _Library:
+    """Load the first of _candidate_paths(...) that opens with a known ABI.
 
     Failures come back as one line: a library with an unknown ABI keeps
     its own message, a path set through env_var is named with its error,
@@ -172,14 +163,14 @@ def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
     is logged at DEBUG.
     """
     searched = 0
-    wrong_abi: OqsLoadError | None = None
+    wrong_abi: UnsupportedVariant | None = None
     unloadable: Exception | None = None
     last_error: Exception | None = None
-    for path in candidates:
+    for path in _candidate_paths(env_var, prefixes, linker_search):
         searched += 1
         try:
             lib = _Library(path)
-        except OqsLoadError as exc:
+        except UnsupportedVariant as exc:
             wrong_abi = wrong_abi or exc
             logger.debug("liboqs candidate rejected: %s", exc)
             continue
@@ -197,10 +188,10 @@ def _load_library(candidates: Iterator[str], env_var: str) -> _Library:
     if wrong_abi is not None:
         raise wrong_abi
     if os.environ.get(env_var):
-        raise OqsLoadError(f"{env_var}: {last_error}")
+        raise UnsupportedVariant(f"{env_var}: {last_error}")
     if unloadable is not None:
-        raise OqsLoadError(f"liboqs does not load: {unloadable}")
-    raise OqsLoadError(
+        raise UnsupportedVariant(f"liboqs does not load: {unloadable}")
+    raise UnsupportedVariant(
         f"liboqs not found ({searched} paths searched; set {env_var})"
     )
 
@@ -259,28 +250,28 @@ class OqsBackend(SchemeBackend):
 # each search runs once per process, on first use; the two are separate
 # so that a hardened primary never searches for the Cross library
 @functools.cache
-def _primary() -> _Library | OqsLoadError:
+def _primary() -> _Library | UnsupportedVariant:
     try:
-        return _load_library(_candidate_paths(), "CHAINSIG_LIBOQS")
-    except OqsLoadError as exc:
+        return _load_library("CHAINSIG_LIBOQS", _PRIMARY_PREFIXES, True)
+    except UnsupportedVariant as exc:
         return exc
 
 
 @functools.cache
-def _cross() -> _Library | OqsLoadError:
+def _cross() -> _Library | UnsupportedVariant:
     """The library serving the Cross family, hardened when possible."""
     primary = _primary()
-    if not isinstance(primary, OqsLoadError) and not primary.version.startswith(
+    if not isinstance(primary, UnsupportedVariant) and not primary.version.startswith(
         _MALLEABLE_CROSS_PREFIX
     ):
         return primary
     reason = ""
     try:
-        served = _load_library(_cross_candidate_paths(), "CHAINSIG_LIBOQS_CROSS")
-    except OqsLoadError as exc:
+        served = _load_library("CHAINSIG_LIBOQS_CROSS", ("/opt/liboqs-cross",), False)
+    except UnsupportedVariant as exc:
         reason = f"; no dedicated Cross library: {exc}"
         served = primary
-    if not isinstance(served, OqsLoadError) and served.version.startswith(
+    if not isinstance(served, UnsupportedVariant) and served.version.startswith(
         _MALLEABLE_CROSS_PREFIX
     ):
         logger.warning(
@@ -295,13 +286,13 @@ def _cross() -> _Library | OqsLoadError:
 
 def available() -> bool:
     """Whether a liboqs loads here, as primary or for Cross; provenance records it."""
-    return not isinstance(_cross(), OqsLoadError)
+    return not isinstance(_cross(), UnsupportedVariant)
 
 
 def create(descriptor: "VariantDescriptor") -> SchemeBackend:
     if not descriptor.is_pqc:
         raise UnsupportedVariant(f"does not serve {descriptor.variant!r}")
     lib = _cross() if descriptor.variant.startswith("Cross-") else _primary()
-    if isinstance(lib, OqsLoadError):
+    if isinstance(lib, UnsupportedVariant):
         raise UnsupportedVariant(str(lib))
     return OqsBackend(lib, _oqs_algorithm(descriptor.variant))

@@ -19,16 +19,17 @@ logger = logging.getLogger(__name__)
 #: set this to a provider name to force every variant onto one backend
 PROVIDER_ENV = "CHAINSIG_PROVIDER"
 
+# post-quantum variants are tried in preference order: liboqs first
+# (optimized code, full coverage), the PQClean wheels as fallback
+_PQC_CANDIDATES = ("oqs", "pqclean")
+_ECDSA_CANDIDATES = ("ecdsa",)
+
 # each provider is the module of that name in this package, and its
 # create(descriptor) returns a SchemeBackend or raises UnsupportedVariant
 # with a one-line reason. A module is imported on the first get_provider
 # call for its name, so a run that never asks for ECDSA or liboqs never
 # loads `cryptography` or the liboqs binding.
-_PROVIDERS = ("ecdsa", "oqs", "pqclean", "stub")
-
-# post-quantum variants are tried in preference order: liboqs first
-# (optimized code, full coverage), the PQClean wheels as fallback
-_PQC_CANDIDATES = ("oqs", "pqclean")
+_PROVIDERS = (*_ECDSA_CANDIDATES, *_PQC_CANDIDATES, "stub")
 
 
 def get_provider(name: str) -> ModuleType:
@@ -44,9 +45,7 @@ def _candidates(descriptor: "VariantDescriptor") -> tuple[str, ...]:
     override = os.environ.get(PROVIDER_ENV)
     if override:
         return (override,)
-    if descriptor.is_pqc:
-        return _PQC_CANDIDATES
-    return ("ecdsa",)
+    return _PQC_CANDIDATES if descriptor.is_pqc else _ECDSA_CANDIDATES
 
 
 def instantiate(descriptor: "VariantDescriptor") -> SchemeInstance:

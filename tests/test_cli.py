@@ -743,6 +743,8 @@ class TestRunPipeline:
                 replay_benchmarks=replay_csv,
             )
             assert run_pipeline(config) == 0
+            # a replay writes back the measured run's benchmark.csv itself
+            assert (tmp_path / name / "benchmark.csv").read_bytes() == replay_csv.read_bytes()
             outputs.append(
                 {
                     path.name: path.read_bytes()

@@ -6,7 +6,8 @@ ctypes. Records are named tuples and the manifest's timestamp comes from
 `time`, so chainsig loads neither `dataclasses` (and with it `inspect`)
 nor `datetime`. An ECDSA run loads neither either: it builds and parses
 DER keys itself, so it never loads `cryptography`'s serialization
-package, whose SSH support imports `dataclasses` and `inspect`.
+package, whose SSH support imports `dataclasses` and `inspect`, nor
+any of `cryptography`'s bindings or private modules.
 Neither a replay nor a stub run loads `hashlib`, which maps the system
 libcrypto: a replay hashes its CSV with `_sha2` or `_sha256`, and the
 stub tags with `_blake2`. On glibc the probe builds its host text from
@@ -214,19 +215,28 @@ def test_simulating_run_never_loads_numpy(tmp_path):
     assert (tmp_path / "out" / "simulation.csv").is_file()
 
 
-def _importers(*packages: str) -> list[str]:
-    """Every import statement in chainsig, however deeply nested, of one of packages."""
+def _imports() -> list[tuple[str, str]]:
+    """(file:line, dotted name) of every absolute import in chainsig, however deeply nested.
+
+    `from a.b import c` gives both `a.b` and `a.b.c`, since c may be a module.
+    """
     found = []
     for path in sorted((SRC / "chainsig").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
+                module = node.module or ""
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in packages]
+            found += [(f"{path.name}:{node.lineno}", name) for name in names]
     return found
+
+
+def _importers(*packages: str) -> list[str]:
+    """Every import statement in chainsig of one of packages."""
+    return [where for where, name in _imports() if name.split(".")[0] in packages]
 
 
 def test_no_module_imports_numpy():
@@ -235,3 +245,15 @@ def test_no_module_imports_numpy():
 
 def test_no_module_imports_dataclasses_or_datetime():
     assert _importers("dataclasses", "datetime") == []
+
+
+def test_no_module_imports_cryptography_internals():
+    # keys are built and parsed through cryptography's public API alone
+    internal = []
+    for where, name in _imports():
+        parts = name.split(".")
+        if parts[0] == "cryptography" and (
+            parts[1:3] == ["hazmat", "bindings"] or any(part.startswith("_") for part in parts)
+        ):
+            internal.append(f"{where} {name}")
+    assert internal == []

@@ -388,14 +388,22 @@ class TestEcdsaEdgeCases:
         pk, _ = instance.keypair()
         assert instance.verify(pk, b"m", b"\x00" * 70) is False
 
-    def test_cross_curve_verify_is_clean_false(self):
-        p256 = instantiate_or_skip("P-256")
-        p384 = instantiate_or_skip("P-384")
-        pk, sk = p256.keypair()
-        sig = p256.sign(sk, b"m")
-        # the key parses under any curve's backend; the mismatch surfaces
-        # as a failed verification, not an error
-        assert p384.verify(pk, b"m", sig) is False
+    @pytest.mark.parametrize(
+        ("variant", "other"), list(itertools.permutations(("P-256", "P-384", "P-521"), 2))
+    )
+    def test_other_curves_key_is_refused_and_not_cached(self, variant, other):
+        # a backend parses keys against its own curve alone
+        instance, signer = instantiate_or_skip(variant), instantiate_or_skip(other)
+        pk, sk = signer.keypair()
+        sig = signer.sign(sk, b"m")
+        for _ in range(2):
+            with pytest.raises(BackendFailure, match=r"^malformed ECDSA public key: [^\n]*\Z"):
+                instance.verify(pk, b"m", sig)
+            with pytest.raises(BackendFailure, match=r"^malformed ECDSA secret key: [^\n]*\Z"):
+                instance.sign(sk, b"m")
+        loaders = (instance.backend._public_key, instance.backend._private_key)
+        assert [loader.cache_info().hits for loader in loaders] == [0, 0]
+        assert [loader.cache_info().currsize for loader in loaders] == [0, 0]
 
 
 #: the P-256 point 04‖X‖Y, which ends a DER public key
@@ -449,14 +457,14 @@ class TestEcdsaKeyParsing:
         bad_pk = _flip_last_byte(pk)
         bad_sk = ecdsa._TEMPLATES["SECP256R1"].order.to_bytes(32, "big")
         bad = bad_pk[-P256_POINT:]
-        misses = ecdsa._private_key.cache_info().misses
+        misses = instance.backend._private_key.cache_info().misses
         for _ in range(3):
             with pytest.raises(BackendFailure, match="^malformed ECDSA public key: "):
                 instance.verify(bad_pk, b"m", b"sig")
             with pytest.raises(BackendFailure, match="^malformed ECDSA secret key: "):
                 instance.sign(bad_sk, b"m")
         assert parses["from_encoded_point", bad] == 3
-        assert ecdsa._private_key.cache_info().misses - misses == 3
+        assert instance.backend._private_key.cache_info().misses - misses == 3
         pk, sk = instance.keypair()
         assert instance.verify(pk, b"m", instance.sign(sk, b"m")) is True
 
@@ -506,15 +514,12 @@ class TestEcdsaKeyEncoding:
         assert template.order == template.curve.group_order
 
     def test_key_lengths_are_this_curves_alone(self, curve_name):
-        # a key's length is all that picks its template
         public, secret = _keys(ecdsa._TEMPLATES[curve_name], 1)
         for name, other in ecdsa._TEMPLATES.items():
             if name != curve_name:
                 other_public, other_secret = _keys(other, 1)
                 assert len(public) != len(other_public)
                 assert len(secret) != len(other_secret)
-        assert ecdsa._BY_PUBLIC_LENGTH[len(public)] is ecdsa._TEMPLATES[curve_name]
-        assert ecdsa._BY_SECRET_LENGTH[len(secret)] is ecdsa._TEMPLATES[curve_name]
 
     @pytest.mark.parametrize("scalar", ["1", "2", "order-1", "top-byte-0"])
     def test_fixed_scalars(self, curve_name, scalar):
@@ -527,7 +532,7 @@ class TestEcdsaKeyEncoding:
         }[scalar]
         key = ec.derive_private_key(d, template.curve)
         public, secret = template.encode(key.private_numbers())
-        self._assert_keys_of(key, public, secret)
+        self._assert_keys_of(template, key, public, secret)
 
     def test_fresh_keys(self, curve_name):
         template = ecdsa._TEMPLATES[curve_name]
@@ -535,17 +540,19 @@ class TestEcdsaKeyEncoding:
         for _ in range(100):
             public, secret = backend.keypair()
             key = ec.derive_private_key(_scalar(secret), template.curve)
-            self._assert_keys_of(key, public, secret)
+            self._assert_keys_of(template, key, public, secret)
 
     @staticmethod
-    def _assert_keys_of(key: ec.EllipticCurvePrivateKey, public: bytes, secret: bytes) -> None:
+    def _assert_keys_of(
+        template, key: ec.EllipticCurvePrivateKey, public: bytes, secret: bytes
+    ) -> None:
         numbers = key.private_numbers()
         size = (key.curve.key_size + 7) // 8
         assert public == _openssl_spki(key)
         assert secret == numbers.private_value.to_bytes(size, "big")
-        assert ecdsa._private_key(secret).private_numbers() == numbers
+        assert ecdsa._private_key(template, secret).private_numbers() == numbers
         assert (
-            ecdsa._public_key(public).public_numbers()
+            ecdsa._public_key(template, public).public_numbers()
             == serialization.load_der_public_key(public).public_numbers()
             == numbers.public_numbers
         )
@@ -596,7 +603,7 @@ REFUSALS = [
 @pytest.mark.parametrize(("curve_name", "kind", "refused"), REFUSALS)
 def test_ecdsa_refuses_malformed_key_without_caching_it(curve_name, kind, refused):
     backend = EcdsaBackend(curve_name, "SHA256")
-    loader = ecdsa._public_key if kind == "public" else ecdsa._private_key
+    loader = backend._public_key if kind == "public" else backend._private_key
     hits = loader.cache_info().hits
     for _ in range(2):
         with pytest.raises(BackendFailure, match=f"^malformed ECDSA {kind} key: ") as caught:
@@ -660,7 +667,7 @@ class TestOqsLoadDiagnostic:
     def test_search_is_summarized(self, monkeypatch, tmp_path, caplog):
         missing = [str(tmp_path / f"lib{i}" / "liboqs.so") for i in range(3)]
         monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
-        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(missing))
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda *args: iter(missing))
         caplog.set_level(logging.DEBUG, logger="chainsig.schemes.oqs")
         reason = self._reason()
         assert reason == "liboqs not found (3 paths searched; set CHAINSIG_LIBOQS)"
@@ -679,7 +686,8 @@ class TestOqsLoadDiagnostic:
                 pytest.skip("_ctypes is built into this interpreter")
         missing = [str(tmp_path / f"lib{i}" / "liboqs.so") for i in range(2)]
         monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
-        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter([missing[0], broken, missing[1]]))
+        candidates = [missing[0], broken, missing[1]]
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda *args: iter(candidates))
         caplog.set_level(logging.DEBUG, logger="chainsig.schemes.oqs")
         reason = self._reason()
         assert reason.startswith(f"liboqs does not load: {broken}: ")
@@ -712,7 +720,7 @@ class TestOqsLoadDiagnostic:
 
             def fake_library(path):
                 if path == wrong_abi:
-                    raise oqs.OqsLoadError(expected)
+                    raise UnsupportedVariant(expected)
                 raise OSError(f"{path}: cannot open shared object file")
 
             monkeypatch.setattr(oqs, "_Library", fake_library)
@@ -721,7 +729,7 @@ class TestOqsLoadDiagnostic:
             expected = f"{wrong_abi} is liboqs 0.13.0; this binding targets 0.12.x, 0.16.x"
         monkeypatch.delenv("CHAINSIG_LIBOQS", raising=False)
         candidates = ["/nonexistent/a/liboqs.so", wrong_abi, "/nonexistent/c/liboqs.so"]
-        monkeypatch.setattr(oqs, "_candidate_paths", lambda: iter(candidates))
+        monkeypatch.setattr(oqs, "_candidate_paths", lambda *args: iter(candidates))
         assert self._reason() == expected
 
 
