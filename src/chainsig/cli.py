@@ -318,18 +318,20 @@ def _replayed(
 
 def _measure(
     selected: list[VariantDescriptor], plan: RunPlan, machine: str
-) -> tuple[ReportDataset, list[dict[str, str]], dict[str, float]]:
-    """Measure each selected variant: its rows labelled machine, skip entries and seconds.
+) -> tuple[ReportDataset, list[dict[str, str]], dict[str, dict]]:
+    """Measure each selected variant: its rows labelled machine, skip entries and records.
 
-    A measured variant gets a benchmark row per operation; every variant
-    tried, skipped or not, gets its seconds.
+    Every variant tried, skipped or not, gets a record holding its
+    `seconds`; a measured one also gets a benchmark row per operation,
+    and its record that operation's unrounded statistics under its name.
     """
     rows: list[ReportRow] = []
     skipped: list[dict[str, str]] = []
-    seconds: dict[str, float] = {}
+    variants: dict[str, dict] = {}
     for done, descriptor in enumerate(selected, start=1):
         family, variant, level = descriptor
-        with _stage(seconds, variant) as line:
+        entry = variants[variant] = {}
+        with _stage(entry, "seconds") as line:
             try:
                 record = benchmark_variant(instantiate(descriptor), plan)
             except (UnsupportedVariant, BackendFailure, CorrectnessViolation) as exc:
@@ -338,9 +340,10 @@ def _measure(
             line.append(f"{variant} ({done}/{len(selected)}) measured")
         for operation in Operation:
             stat = getattr(record, f"{operation.value}_stat")
+            entry[operation.value] = stat._asdict()
             rows.append(ReportRow(machine, family, variant, level, Stage.BENCHMARK, None,
                                   operation, stat.mean_ms, stat.std_ms, stat.n))
-    return ReportDataset(tuple(rows)), skipped, seconds
+    return ReportDataset(tuple(rows)), skipped, variants
 
 
 def _simulate(
@@ -427,7 +430,7 @@ def run_pipeline(config: CliConfig) -> int:
 
     # describes the measuring host, so it stays None unless this run measures
     environment: EnvironmentInfo | None = None
-    variant_seconds: dict[str, float] = {}
+    variants: dict[str, dict] = {}
     if replayed_from is not None:
         bench_dataset, skipped = _replayed(replayed, selected)
     else:
@@ -437,9 +440,7 @@ def run_pipeline(config: CliConfig) -> int:
             line.append(f"host: {environment.cpu_model}, loop floor {floor:.0f} ns, probed")
         plan = RunPlan(warmup=config.warmup, runs=config.runs, message_len=config.message_len)
         with _stage(timings, "benchmark") as line:
-            bench_dataset, skipped, variant_seconds = _measure(
-                selected, plan, environment.cpu_model
-            )
+            bench_dataset, skipped, variants = _measure(selected, plan, environment.cpu_model)
             measured = len(selected) - len(skipped)
             line.append(f"benchmark: {measured} of {len(selected)} variants measured")
 
@@ -471,7 +472,8 @@ def run_pipeline(config: CliConfig) -> int:
         "timestamp": strftime("%Y-%m-%dT%H:%M:%S+00:00", gmtime()),
         "skipped": skipped,
         "outputs": outputs,
-        "timings": {"stages": timings, "variants": variant_seconds},
+        "timings": {"stages": timings},
+        "variants": variants,
     }
     if replayed_from is not None:
         manifest["replayed_from"] = replayed_from

@@ -15,8 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from chainsig import cli
-from chainsig.bench import EnvironmentInfo, StatSummary
+from chainsig import bench, cli
+from chainsig.bench import EnvironmentInfo, StatSummary, summarize
 from chainsig.cli import (
     DEFAULT_LEVELS,
     CliConfig,
@@ -277,7 +277,11 @@ _GOLDEN_MEASURED_DIGESTS = {
         "0db591632999f08d1303fbc8c4e4e19b08ad93672b7fe59a73adb04a6d8d69a3",
 }
 
-#: that run's manifest, without its timestamp and timings
+#: SHA-256 of that run's 46 `variants` records as JSON with sorted keys,
+#: each without its `seconds`, which the real clock times as it does `timings`
+_GOLDEN_MEASURED_RECORDS = "8885318caeacb194b1c3920c959b7a8b1b46d1cb76425f5cd1f1d052e87206c6"
+
+#: that run's manifest, without its timestamp, timings and variants
 _GOLDEN_MEASURED_MANIFEST = {
     "config": {
         "families": None,
@@ -521,10 +525,13 @@ class TestRunPipeline:
         caplog.set_level(logging.INFO, logger="chainsig.cli")
         assert run_pipeline(config) == 0
         manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
-        timings = manifest["timings"]
-        assert set(timings["stages"]) == stages
-        assert set(timings["variants"]) == (set() if replay else {v for _, v, _ in level_2})
-        seconds = {**timings["stages"], **timings["variants"]}
+        assert list(manifest["timings"]) == ["stages"]
+        assert set(manifest["timings"]["stages"]) == stages
+        assert set(manifest["variants"]) == (set() if replay else {v for _, v, _ in level_2})
+        seconds = {
+            **manifest["timings"]["stages"],
+            **{variant: record["seconds"] for variant, record in manifest["variants"].items()},
+        }
         assert all(value >= 0 for value in seconds.values())
         assert _logged_seconds(caplog) == {key: round(value, 2) for key, value in seconds.items()}
 
@@ -547,11 +554,10 @@ class TestRunPipeline:
                 "simulation": 1.25,
                 "simulation_report": 1.25,
             },
-            "variants": {"ML-DSA-44": 1.25, "Dilithium2": 1.25},
         }
-        assert _logged_seconds(caplog) == {
-            **manifest["timings"]["stages"], **manifest["timings"]["variants"]
-        }
+        variants = {variant: record["seconds"] for variant, record in manifest["variants"].items()}
+        assert variants == {"ML-DSA-44": 1.25, "Dilithium2": 1.25}
+        assert _logged_seconds(caplog) == {**manifest["timings"]["stages"], **variants}
 
     def test_replay_logs_its_read(self, tmp_path, stub_provider, caplog):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured", skip_simulation=True)
@@ -678,9 +684,10 @@ class TestRunPipeline:
         skipped = {entry["variant"] for entry in manifest["skipped"]}
         assert "Falcon-512" in skipped
         assert len(skipped) == 13
-        # every variant the run tried has its seconds, skipped ones too
+        # every variant the run tried has its record and seconds, skipped ones too
         tried = {d.variant for d in catalog() if d.level == 1}
-        assert set(manifest["timings"]["variants"]) == tried
+        assert set(manifest["variants"]) == tried
+        assert all(record["seconds"] >= 0 for record in manifest["variants"].values())
 
     def test_replay_skips_measurement(self, tmp_path, stub_provider):
         source = tiny_config(tmp_path, output_dir=tmp_path / "measured")
@@ -814,8 +821,79 @@ class TestRunPipeline:
         }
         assert written == _GOLDEN_MEASURED_DIGESTS
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        records = manifest.pop("variants")
+        assert len(records) == 46
+        for record in records.values():
+            assert record.pop("seconds") >= 0
+        text = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_MEASURED_RECORDS
         del manifest["timestamp"], manifest["timings"]
         assert manifest == _GOLDEN_MEASURED_MANIFEST
+
+    def test_variant_records_hold_the_unrounded_statistics(
+        self, tmp_path, stub_provider, monkeypatch
+    ):
+        # clock read k returns 50 k^2 ns, so no two windows are alike, and a
+        # record that held another op's statistics, or rounded ones, differs
+        reads = itertools.count()
+        monkeypatch.setattr("chainsig.bench.time.perf_counter_ns", lambda: 50 * next(reads) ** 2)
+        monkeypatch.setattr(cli, "probe_environment", lambda: _GOLDEN_HOST)
+        timed = []
+        real_time_operation = bench.time_operation
+
+        def time_operation(*args):
+            timed.append(real_time_operation(*args))
+            return timed[-1]
+
+        class FailingKeypair(StubBackend):
+            def keypair(self):
+                raise RuntimeError("rc=-1")
+
+        real_instantiate = cli.instantiate
+
+        def instantiate(descriptor):
+            if descriptor.variant == "P-384":
+                return SchemeInstance(descriptor, FailingKeypair())
+            return real_instantiate(descriptor)
+
+        monkeypatch.setattr(bench, "time_operation", time_operation)
+        monkeypatch.setattr(cli, "instantiate", instantiate)
+        config = tiny_config(
+            tmp_path, runs=20, warmup=2, levels=frozenset({1, 3, 5}), families=("ECDSA",),
+            skip_simulation=True,
+        )
+        assert run_pipeline(config) == 2
+        manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["timings"]) == ["stages"]
+        records = manifest["variants"]
+        assert list(records) == ["P-256", "P-384", "P-521"]
+        # a variant whose backend fails holds its seconds alone
+        assert list(records["P-384"]) == ["seconds"]
+        with open(config.output_dir / "benchmark.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        # keypair, sign and verify each time one list, in that order, per measured variant
+        assert len(timed) == 6
+        for variant, samples in zip(("P-256", "P-521"), (timed[:3], timed[3:])):
+            assert sorted(records[variant]) == ["keypair", "seconds", "sign", "verify"]
+            for operation, op_samples in zip(Operation, samples):
+                stat = records[variant][operation.value]
+                assert stat == summarize(op_samples)._asdict()
+                [row] = [
+                    row for row in rows
+                    if (row["variant"], row["operation"]) == (variant, operation.value)
+                ]
+                assert (row["mean_ms"], row["std_ms"]) == (
+                    f"{stat['mean_ms']:.4f}", f"{stat['std_ms']:.4f}"
+                )
+
+        replay = tiny_config(
+            tmp_path, output_dir=tmp_path / "replayed", levels=frozenset({1, 3, 5}),
+            families=("ECDSA",), replay_benchmarks=config.output_dir / "benchmark.csv",
+        )
+        assert run_pipeline(replay) == 2
+        manifest = json.loads((replay.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["timings"]) == ["stages"]
+        assert manifest["variants"] == {}
 
     def test_simulation_rows_carry_their_verify_row_labels(self, tmp_path):
         replay_csv = write_replay(

@@ -1,7 +1,8 @@
-"""The README's "Library use" example runs as written."""
+"""README text that the code must match: its examples run, and its lists name what the code has."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -76,3 +77,26 @@ def test_every_environment_variable_is_documented():
     }
     assert names == {"CHAINSIG_PROVIDER", "CHAINSIG_LIBOQS", "CHAINSIG_LIBOQS_CROSS"}
     assert [name for name in sorted(names) if f"`{name}`" not in text] == []
+
+
+def test_outputs_name_every_manifest_key(tmp_path, monkeypatch):
+    # a key a live run or a replay writes to manifest.json, or a field of a
+    # `variants` record, is named in backticks in README's "Outputs"
+    from chainsig.cli import main
+
+    outputs = README.read_text(encoding="utf-8").split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    monkeypatch.setenv("CHAINSIG_PROVIDER", "stub")
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    common = ["--families", "ECDSA", "--levels", "1", "--runs-simulator", "2"]
+    assert main([*common, "--runs", "2", "--warm-up", "0", "--output-dir", str(live)]) == 0
+    source = str(live / "benchmark.csv")
+    assert main([*common, "--replay-benchmarks", source, "--output-dir", str(replay)]) == 0
+    keys = set()
+    for out in (live, replay):
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        keys |= set(manifest)
+        for record in manifest["variants"].values():
+            keys |= set(record)
+            keys |= {field for stat in record.values() if isinstance(stat, dict) for field in stat}
+    assert {"variants", "replayed_from", "seconds", "verify", "mean_ms"} <= keys
+    assert sorted(key for key in keys if f"`{key}`" not in outputs) == []
