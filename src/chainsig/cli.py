@@ -321,9 +321,8 @@ def _measure(
 ) -> tuple[ReportDataset, list[dict[str, str]], dict[str, dict]]:
     """Measure each selected variant: its rows labelled machine, skip entries and records.
 
-    Every variant tried, skipped or not, gets a record holding its
-    `seconds`; a measured one also gets a benchmark row per operation,
-    and its record that operation's unrounded statistics under its name.
+    Every variant tried gets a record of its `seconds`; a measured one also
+    gets a row per operation, and in its record that operation's unrounded stats.
     """
     rows: list[ReportRow] = []
     skipped: list[dict[str, str]] = []
